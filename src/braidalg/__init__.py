@@ -61,11 +61,10 @@ from .errors import (
     TruncationOverflow,
 )
 from .fields import RATIONALS, FieldSpec, prime_field
-from .matrix import ExactMatrix, hstack, kron, kron_all, kron_power, vstack
+from .matrix import ExactMatrix, hstack, kron_power, vstack, whisker
 from .primitives import (
     PrimitiveSpace,
     equalizer_matrix,
-    induced_braiding,
     induced_map,
     primitives,
     primitives_of_tensor,
@@ -76,8 +75,6 @@ from .tensoralg import (
     TruncatedTensorBialgebra,
     build_truncated,
     check_truncated_axioms,
-    global_braiding_block,
-    multiply,
 )
 from .transport import (
     BaseBraiding,

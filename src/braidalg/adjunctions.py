@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .braided import AlgebraData, AxiomReport, BialgebraData, BraidedObject, compare
 from .errors import BadDegree, LinearSolveError, NoFactorization
-from .matrix import ExactMatrix, kron_power
+from .matrix import ExactMatrix, kron_power, whisker
 from .primitives import PrimitiveSpace, primitives, primitives_of_tensor
 from .tensoralg import TruncatedTensorBialgebra, build_truncated
 
@@ -24,8 +24,7 @@ def iterated_product(A: AlgebraData, n: int) -> ExactMatrix:
         return A.u
     if n == 1:
         return ExactMatrix.identity(A.field, A.dim)
-    ident = ExactMatrix.identity(A.field, A.dim)
-    return A.m * iterated_product(A, n - 1).kron(ident)
+    return A.m * whisker(1, iterated_product(A, n - 1), A.dim)
 
 
 def iterated_product_rightfold(A: AlgebraData, n: int) -> ExactMatrix:
@@ -34,47 +33,27 @@ def iterated_product_rightfold(A: AlgebraData, n: int) -> ExactMatrix:
         return A.u
     if n == 1:
         return ExactMatrix.identity(A.field, A.dim)
-    ident = ExactMatrix.identity(A.field, A.dim)
-    return A.m * ident.kron(iterated_product_rightfold(A, n - 1))
-
-
-def concatenation_product_block(T: TruncatedTensorBialgebra, a: int, b: int) -> ExactMatrix:
-    """Matrix of the degree ``(a, b)`` product of the tensor algebra under the
-    Kronecker identification (concatenation, so an identity reindexing)."""
-    if a + b > T.N:
-        from .errors import TruncationOverflow
-
-        raise TruncationOverflow(f"degree {a}+{b} exceeds truncation {T.N}")
-    return ExactMatrix.identity(T.field, T.component_dim(a + b))
+    return A.m * whisker(A.dim, iterated_product_rightfold(A, n - 1), 1)
 
 
 def check_triangles_T_Omega(V: BraidedObject, N: int,
                             algebras: tuple[AlgebraData, ...] = ()) -> bool:
     """Triangle identities of the free-algebra adjunction, blockwise.
 
-    On the free side, the adjunction counit applied after the degreewise
-    unit embeddings must give back each graded identity.  On the algebra
-    side the counit blocks are the iterated products; the left and right
-    folds must agree and the blocks must be multiplicative, which is the
-    algebra-morphism property of the counit.
+    The counit blocks are the iterated products of each algebra; the left
+    and right folds must agree and the blocks must be multiplicative, which
+    is the algebra-morphism property of the counit.  On the free side the
+    product is concatenation, an identity under the Kronecker
+    identification, so that triangle holds by construction and is not
+    checked.  ``V`` supplies the field of the default algebras.
     """
     if N < 2:
         raise BadDegree("need N >= 2 for a nontrivial triangle check")
-    T = build_truncated(V, N)
-    d = V.dim
-    for n in range(N + 1):
-        fold = ExactMatrix.identity(V.field, 1)
-        for i in range(n):
-            fold = concatenation_product_block(T, i, 1) * fold.kron(ExactMatrix.identity(V.field, d))
-        if fold != ExactMatrix.identity(V.field, d ** n):
-            return False
     if not algebras:
         from .gallery import exterior_line, group_algebra_z2
 
         algebras = (exterior_line(V.field).algebra, group_algebra_z2(V.field).algebra)
     for A in algebras:
-        if iterated_product(A, 1) != ExactMatrix.identity(A.field, A.dim):
-            return False
         for n in range(N + 1):
             if iterated_product(A, n) != iterated_product_rightfold(A, n):
                 return False

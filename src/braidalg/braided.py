@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import NotInvertible, ShapeError, SpecViolation
 from .fields import FieldSpec
-from .matrix import ExactMatrix, kron_all
+from .matrix import ExactMatrix, whisker
 
 
 # -- reports --------------------------------------------------------------
@@ -151,9 +151,8 @@ def _shape_gate(c: ExactMatrix, dim: int, what: str) -> None:
 
 
 def yang_baxter_holds(c: ExactMatrix, dim: int) -> CheckItem:
-    ident = ExactMatrix.identity(c.field, dim)
-    cV = c.kron(ident)
-    Vc = ident.kron(c)
+    cV = whisker(1, c, dim)
+    Vc = whisker(dim, c, 1)
     return compare("yang_baxter", cV * Vc * cV, Vc * cV * Vc)
 
 
@@ -179,19 +178,20 @@ def check_braided_morphism(f: ExactMatrix, V: BraidedObject, W: BraidedObject) -
 def check_algebra(A: AlgebraData) -> AxiomReport:
     """Associativity and the two unit laws."""
     report = AxiomReport()
-    ident = ExactMatrix.identity(A.field, A.dim)
-    report.add(compare("associative", A.m * A.m.kron(ident), A.m * ident.kron(A.m)))
-    report.add(compare("unit_left", A.m * A.u.kron(ident), ident))
-    report.add(compare("unit_right", A.m * ident.kron(A.u), ident))
+    d = A.dim
+    ident = ExactMatrix.identity(A.field, d)
+    report.add(compare("associative", A.m * whisker(1, A.m, d), A.m * whisker(d, A.m, 1)))
+    report.add(compare("unit_left", A.m * whisker(1, A.u, d), ident))
+    report.add(compare("unit_right", A.m * whisker(d, A.u, 1), ident))
     return report
 
 
 def check_coalgebra(field: FieldSpec, dim: int, delta: ExactMatrix, eps: ExactMatrix) -> AxiomReport:
     report = AxiomReport()
     ident = ExactMatrix.identity(field, dim)
-    report.add(compare("coassociative", delta.kron(ident) * delta, ident.kron(delta) * delta))
-    report.add(compare("counit_left", eps.kron(ident) * delta, ident))
-    report.add(compare("counit_right", ident.kron(eps) * delta, ident))
+    report.add(compare("coassociative", whisker(1, delta, dim) * delta, whisker(dim, delta, 1) * delta))
+    report.add(compare("counit_left", whisker(1, eps, dim) * delta, ident))
+    report.add(compare("counit_right", whisker(dim, eps, 1) * delta, ident))
     return report
 
 
@@ -200,19 +200,19 @@ def check_braided_algebra(A: AlgebraData, c: ExactMatrix) -> AxiomReport:
     unit constraints, so the unit laws lose their ``l, r`` factors)."""
     _shape_gate(c, A.dim, "braiding")
     report = AxiomReport()
-    ident = ExactMatrix.identity(A.field, A.dim)
+    d = A.dim
     report.add(compare(
         "product_braids_left",  # c(m⊗A) = (A⊗m)(c⊗A)(A⊗c)
-        c * A.m.kron(ident),
-        ident.kron(A.m) * c.kron(ident) * ident.kron(c),
+        c * whisker(1, A.m, d),
+        whisker(d, A.m, 1) * whisker(1, c, d) * whisker(d, c, 1),
     ))
     report.add(compare(
         "product_braids_right",  # c(A⊗m) = (m⊗A)(A⊗c)(c⊗A)
-        c * ident.kron(A.m),
-        A.m.kron(ident) * ident.kron(c) * c.kron(ident),
+        c * whisker(d, A.m, 1),
+        whisker(1, A.m, d) * whisker(d, c, 1) * whisker(1, c, d),
     ))
-    report.add(compare("unit_braids_left", c * A.u.kron(ident), ident.kron(A.u)))
-    report.add(compare("unit_braids_right", c * ident.kron(A.u), A.u.kron(ident)))
+    report.add(compare("unit_braids_left", c * whisker(1, A.u, d), whisker(d, A.u, 1)))
+    report.add(compare("unit_braids_right", c * whisker(d, A.u, 1), whisker(1, A.u, d)))
     return report
 
 
@@ -221,19 +221,18 @@ def check_braided_coalgebra(field: FieldSpec, dim: int, delta: ExactMatrix,
     """Compatibility of coproduct and counit with the braiding."""
     _shape_gate(c, dim, "braiding")
     report = AxiomReport()
-    ident = ExactMatrix.identity(field, dim)
     report.add(compare(
         "coproduct_braids_left",  # (Δ⊗C)c = (C⊗c)(c⊗C)(C⊗Δ)
-        delta.kron(ident) * c,
-        ident.kron(c) * c.kron(ident) * ident.kron(delta),
+        whisker(1, delta, dim) * c,
+        whisker(dim, c, 1) * whisker(1, c, dim) * whisker(dim, delta, 1),
     ))
     report.add(compare(
         "coproduct_braids_right",  # (C⊗Δ)c = (c⊗C)(C⊗c)(Δ⊗C)
-        ident.kron(delta) * c,
-        c.kron(ident) * ident.kron(c) * delta.kron(ident),
+        whisker(dim, delta, 1) * c,
+        whisker(1, c, dim) * whisker(dim, c, 1) * whisker(1, delta, dim),
     ))
-    report.add(compare("counit_braids_left", eps.kron(ident) * c, ident.kron(eps)))
-    report.add(compare("counit_braids_right", ident.kron(eps) * c, eps.kron(ident)))
+    report.add(compare("counit_braids_left", whisker(1, eps, dim) * c, whisker(dim, eps, 1)))
+    report.add(compare("counit_braids_right", whisker(dim, eps, 1) * c, whisker(1, eps, dim)))
     return report
 
 
@@ -251,12 +250,11 @@ def check_braided_bialgebra(B: BialgebraData) -> AxiomReport:
     report.extend(check_coalgebra(B.field, B.dim, B.delta, B.eps), prefix="coalgebra.")
     report.extend(check_braided_algebra(B.algebra, B.c))
     report.extend(check_braided_coalgebra(B.field, B.dim, B.delta, B.eps, B.c))
-    ident = ExactMatrix.identity(B.field, B.dim)
     one = ExactMatrix.identity(B.field, 1)
     report.add(compare(
         "coproduct_of_product",  # Δm = (m⊗m)(B⊗c⊗B)(Δ⊗Δ)
         B.delta * B.m,
-        B.m.kron(B.m) * kron_all(ident, B.c, ident) * B.delta.kron(B.delta),
+        B.m.kron(B.m) * whisker(B.dim, B.c, B.dim) * B.delta.kron(B.delta),
     ))
     report.add(compare("coproduct_of_unit", B.delta * B.u, B.u.kron(B.u)))
     report.add(compare("counit_of_product", B.eps * B.m, B.eps.kron(B.eps)))
@@ -279,29 +277,27 @@ def verify_product_spec(spec: ProductAlgebraSpec) -> None:
             cij.inverse()
         except NotInvertible:
             raise SpecViolation(f"c[{i},{j}] is not invertible")
-    f = spec.a1.field
     for i in (1, 2):
         for j in (1, 2):
             Ai, Aj = spec.algebra(i), spec.algebra(j)
-            Ii = ExactMatrix.identity(f, Ai.dim)
-            Ij = ExactMatrix.identity(f, Aj.dim)
+            di, dj = Ai.dim, Aj.dim
             cij = spec.c(i, j)
-            lhs = cij * Ai.m.kron(Ij)
-            rhs = Ij.kron(Ai.m) * cij.kron(Ii) * Ii.kron(cij)
+            lhs = cij * whisker(1, Ai.m, dj)
+            rhs = whisker(dj, Ai.m, 1) * whisker(1, cij, di) * whisker(di, cij, 1)
             if lhs != rhs:
                 raise SpecViolation(f"c21 fails for (i,j)=({i},{j})")
-            lhs = cij * Ii.kron(Aj.m)
-            rhs = Aj.m.kron(Ii) * Ij.kron(cij) * cij.kron(Ij)
+            lhs = cij * whisker(di, Aj.m, 1)
+            rhs = whisker(1, Aj.m, di) * whisker(dj, cij, 1) * whisker(1, cij, dj)
             if lhs != rhs:
                 raise SpecViolation(f"c22 fails for (i,j)=({i},{j})")
-            if cij * Ai.u.kron(Ij) != Ij.kron(Ai.u):
+            if cij * whisker(1, Ai.u, dj) != whisker(dj, Ai.u, 1):
                 raise SpecViolation(f"c31 (left unit) fails for (i,j)=({i},{j})")
-            if cij * Ii.kron(Aj.u) != Aj.u.kron(Ii):
+            if cij * whisker(di, Aj.u, 1) != whisker(1, Aj.u, di):
                 raise SpecViolation(f"c31 (right unit) fails for (i,j)=({i},{j})")
             for k in (1, 2):
-                Ik = ExactMatrix.identity(f, spec.algebra(k).dim)
-                lhs = kron_all(Ik, cij) * spec.c(i, k).kron(Ij) * Ii.kron(spec.c(j, k))
-                rhs = spec.c(j, k).kron(Ii) * Ij.kron(spec.c(i, k)) * cij.kron(Ik)
+                dk = spec.algebra(k).dim
+                lhs = whisker(dk, cij, 1) * whisker(1, spec.c(i, k), dj) * whisker(di, spec.c(j, k), 1)
+                rhs = whisker(1, spec.c(j, k), di) * whisker(dj, spec.c(i, k), 1) * whisker(1, cij, dk)
                 if lhs != rhs:
                     raise SpecViolation(f"cij fails for (i,j,k)=({i},{j},{k})")
 
@@ -312,14 +308,13 @@ def product_algebra(spec: ProductAlgebraSpec, i: int, j: int) -> BraidedAlgebra:
     verify_product_spec(spec)
     f = spec.a1.field
     Ai, Aj = spec.algebra(i), spec.algebra(j)
-    Ii = ExactMatrix.identity(f, Ai.dim)
-    Ij = ExactMatrix.identity(f, Aj.dim)
-    m = Ai.m.kron(Aj.m) * kron_all(Ii, spec.c(j, i), Ij)
+    di, dj = Ai.dim, Aj.dim
+    m = Ai.m.kron(Aj.m) * whisker(di, spec.c(j, i), dj)
     u = Ai.u.kron(Aj.u)
     c = (
-        kron_all(Ii, spec.c(i, j), Ij)
+        whisker(di, spec.c(i, j), dj)
         * spec.c(i, i).kron(spec.c(j, j))
-        * kron_all(Ii, spec.c(j, i), Ij)
+        * whisker(di, spec.c(j, i), dj)
     )
     return BraidedAlgebra(AlgebraData(f, Ai.dim * Aj.dim, m, u), c)
 
@@ -342,10 +337,10 @@ def double_braiding_operators(c: ExactMatrix, dim: int) -> tuple[ExactMatrix, Ex
     ``c21 = (c⊗1)(1⊗c)``, ``c12 = (1⊗c)(c⊗1)``,
     ``c22 = (1⊗c⊗1)(c⊗c)(1⊗c⊗1)``.
     """
-    ident = ExactMatrix.identity(c.field, dim)
-    c21 = c.kron(ident) * ident.kron(c)
-    c12 = ident.kron(c) * c.kron(ident)
-    c22 = kron_all(ident, c, ident) * c.kron(c) * kron_all(ident, c, ident)
+    c21 = whisker(1, c, dim) * whisker(dim, c, 1)
+    c12 = whisker(dim, c, 1) * whisker(1, c, dim)
+    middle = whisker(dim, c, dim)
+    c22 = middle * c.kron(c) * middle
     return c21, c12, c22
 
 

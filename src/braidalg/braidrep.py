@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .braided import BraidedObject
 from .errors import BadDegree
-from .matrix import ExactMatrix
+from .matrix import ExactMatrix, whisker
 
 
 class BraidRepCache:
@@ -30,9 +30,6 @@ class BraidRepCache:
         self.source = source
         self.table: dict[tuple[int, int], ExactMatrix] = {}
 
-    def _ident(self, power: int) -> ExactMatrix:
-        return ExactMatrix.identity(self.source.field, self.source.dim ** power)
-
     def block(self, m: int, n: int) -> ExactMatrix:
         """Left-peeling schedule: reduce the first index to 1, then walk the
         second index up one strand at a time."""
@@ -42,14 +39,15 @@ class BraidRepCache:
         hit = self.table.get(key)
         if hit is not None:
             return hit
+        d = self.source.dim
         if m == 0 or n == 0:
-            out = self._ident(m + n)
+            out = ExactMatrix.identity(self.source.field, d ** (m + n))
         elif m == 1 and n == 1:
             out = self.source.c
         elif m == 1:
-            out = self._ident(n - 1).kron(self.source.c) * self.block(1, n - 1).kron(self._ident(1))
+            out = whisker(d ** (n - 1), self.source.c, 1) * whisker(1, self.block(1, n - 1), d)
         else:
-            out = self.block(1, n).kron(self._ident(m - 1)) * self._ident(1).kron(self.block(m - 1, n))
+            out = whisker(1, self.block(1, n), d ** (m - 1)) * whisker(d, self.block(m - 1, n), 1)
         self.table[key] = out
         return out
 
@@ -61,9 +59,6 @@ class OracleBraidRepCache:
         self.source = source
         self.table: dict[tuple[int, int], ExactMatrix] = {}
 
-    def _ident(self, power: int) -> ExactMatrix:
-        return ExactMatrix.identity(self.source.field, self.source.dim ** power)
-
     def block(self, m: int, n: int) -> ExactMatrix:
         if m < 0 or n < 0:
             raise BadDegree(f"block indices must be non-negative, got ({m},{n})")
@@ -71,14 +66,16 @@ class OracleBraidRepCache:
         hit = self.table.get(key)
         if hit is not None:
             return hit
+        f, d = self.source.field, self.source.dim
+        one = ExactMatrix.identity(f, d)
         if m == 0 or n == 0:
-            out = self._ident(m + n)
+            out = ExactMatrix.identity(f, d ** (m + n))
         elif m == 1 and n == 1:
             out = self.source.c
         elif n == 1:
-            out = self.block(m - 1, 1).kron(self._ident(1)) * self._ident(m - 1).kron(self.source.c)
+            out = self.block(m - 1, 1).kron(one) * ExactMatrix.identity(f, d ** (m - 1)).kron(self.source.c)
         else:
-            out = self._ident(n - 1).kron(self.block(m, 1)) * self.block(m, n - 1).kron(self._ident(1))
+            out = ExactMatrix.identity(f, d ** (n - 1)).kron(self.block(m, 1)) * self.block(m, n - 1).kron(one)
         self.table[key] = out
         return out
 
@@ -107,8 +104,8 @@ def check_hexagon(l: int, m: int, n: int, V: BraidedObject,
     """
     if cache is None:
         cache = BraidRepCache(V)
-    d = V.dim
-    idp = lambda k: ExactMatrix.identity(V.field, d ** k)
-    lhs = idp(n).kron(cache.block(l, m)) * cache.block(l, n).kron(idp(m)) * idp(l).kron(cache.block(m, n))
-    rhs = cache.block(m, n).kron(idp(l)) * idp(m).kron(cache.block(l, n)) * cache.block(l, m).kron(idp(n))
+    dl, dm, dn = V.dim ** l, V.dim ** m, V.dim ** n
+    lm, ln, mn = cache.block(l, m), cache.block(l, n), cache.block(m, n)
+    lhs = whisker(dn, lm, 1) * whisker(1, ln, dm) * whisker(dl, mn, 1)
+    rhs = whisker(1, mn, dl) * whisker(dm, ln, 1) * whisker(1, lm, dn)
     return lhs == rhs

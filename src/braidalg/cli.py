@@ -125,7 +125,7 @@ def _verify_build_dump(obj: dict, report: dict) -> AxiomReport:
 
     V = braiding_from_json(obj)
     degree = obj.get("degree")
-    if not isinstance(degree, int) or degree < 1:
+    if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
         raise SchemaError("'degree' must be a positive integer")
     blocks = obj.get("blocks")
     if not isinstance(blocks, dict):

@@ -61,7 +61,12 @@ class FieldSpec:
         return 1
 
     def element(self, x):
-        """Coerce an int, Fraction, or string into a canonical scalar."""
+        """Coerce an int, Fraction, or string into a canonical scalar.
+
+        ``bool`` is an ``int`` subclass but not a scalar, so it is refused.
+        """
+        if isinstance(x, bool):
+            raise TypeError(f"cannot coerce {x!r} into {self}")
         if self.kind == PRIME_KIND:
             if isinstance(x, str):
                 x = int(x)

@@ -5,6 +5,9 @@ Conventions, pinned once and used everywhere:
 * matrices act on column vectors, so ``g after f`` is ``g * f``;
 * ``kron`` is row-major: ``(a ⊗ b)[i*rows_b + k, j*cols_b + l] = a[i,j] * b[k,l]``,
   matching the basis identification ``e_i ⊗ e_j -> i*d + j``;
+* ``whisker(left, X, right)`` is ``1_left ⊗ X ⊗ 1_right``, the one way to
+  pad a map with identity strands; ``kron`` is kept for tensor products of
+  two maps that are not identities;
 * row and column counts of zero are legal (the zero object shows up as the
   primitive space of a group algebra, for instance).
 
@@ -316,25 +319,43 @@ def vstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def stack_rows(mats: list[ExactMatrix], field: FieldSpec, cols: int) -> ExactMatrix:
     """vstack of a possibly empty list, with explicit shape for the empty case."""
-    out = ExactMatrix.zeros(field, 0, cols)
     for m in mats:
-        out = vstack(out, m)
-    return out
+        require_same_field(field, m.field)
+        if m.cols != cols:
+            raise ShapeError("vstack needs equal column counts")
+    grid = [row for m in mats for row in m.data]
+    return ExactMatrix._raw(field, grid, len(grid), cols)
 
 
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a.kron(b)
+def whisker(left: int, X: ExactMatrix, right: int) -> ExactMatrix:
+    """``1_left ⊗ X ⊗ 1_right``: ``X`` acting on the middle tensor factor.
 
-
-def kron_all(*mats: ExactMatrix) -> ExactMatrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.kron(m)
-    return out
+    Built in one pass: each entry of ``X`` is copied onto its
+    ``left * right`` diagonal positions and every other cell is the field's
+    zero, so each cell holds the value that
+    ``identity(left).kron(X).kron(identity(right))`` gives.
+    """
+    zero = X.field.zero
+    # kron skips zero entries, so an unreduced zero such as Fraction(0, 1)
+    # comes out as the field's zero there too
+    rows = [[x if x != zero else zero for x in row] for row in X.data]
+    cols = X.cols * right
+    width = left * cols
+    grid = []
+    for s in range(left):
+        start = s * cols
+        for row in rows:
+            for t in range(start, start + right):
+                out = [zero] * width
+                out[t:start + cols:right] = row
+                grid.append(out)
+    return ExactMatrix._raw(X.field, grid, left * X.rows * right, width)
 
 
 def kron_power(m: ExactMatrix, n: int) -> ExactMatrix:
-    out = ExactMatrix.identity(m.field, 1)
-    for _ in range(n):
+    if n == 0:
+        return ExactMatrix.identity(m.field, 1)
+    out = m
+    for _ in range(n - 1):
         out = out.kron(m)
     return out

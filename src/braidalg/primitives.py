@@ -30,7 +30,7 @@ from .errors import (
     SpecViolation,
 )
 from .fields import FieldSpec
-from .matrix import ExactMatrix, stack_rows
+from .matrix import ExactMatrix, stack_rows, whisker
 from .tensoralg import TruncatedTensorBialgebra
 
 
@@ -53,8 +53,7 @@ class PrimitiveSpace:
 
 def equalizer_matrix(B: BialgebraData) -> ExactMatrix:
     """``Δ - (x -> x⊗1) - (x -> 1⊗x)`` whose kernel is the primitive space."""
-    ident = ExactMatrix.identity(B.field, B.dim)
-    return B.delta - ident.kron(B.u) - B.u.kron(ident)
+    return B.delta - whisker(B.dim, B.u, 1) - whisker(1, B.u, B.dim)
 
 
 def restrict_braiding(c: ExactMatrix, xi: ExactMatrix) -> ExactMatrix:
@@ -99,11 +98,6 @@ def _validate_restricted_braiding(space: PrimitiveSpace) -> None:
             f"restricted braiding fails {rep.failures()[0].name}; "
             "the ambient structure cannot have satisfied its axioms"
         )
-
-
-def induced_braiding(space: PrimitiveSpace) -> ExactMatrix:
-    """The braiding carried by the primitive space (already validated)."""
-    return space.braiding
 
 
 def check_bialgebra_morphism(f: ExactMatrix, B: BialgebraData, B2: BialgebraData) -> None:

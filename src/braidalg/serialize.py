@@ -52,7 +52,7 @@ def _require(obj: dict, key: str):
 
 def _dim_from_json(obj: dict) -> int:
     dim = _require(obj, "dim")
-    if not isinstance(dim, int) or dim < 0:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 0:
         raise SchemaError("'dim' must be a non-negative integer")
     return dim
 

@@ -1,5 +1,6 @@
 from braidalg import (
     RATIONALS,
+    AlgebraData,
     BialgebraData,
     ExactMatrix,
     build_adjunction_witness,
@@ -63,13 +64,15 @@ class TestFreeForgetfulTriangles:
         assert check_triangles_T_Omega(scalar_braiding(F5, 2), 4)
 
     def test_corrupted_counit_block_detected(self):
-        # negative control: a corrupted fold is not the identity
+        # negative control: one bumped entry of the product breaks the
+        # counit blocks, and the checker must say so
         A = group_algebra_z2(RATIONALS).algebra
-        good = iterated_product(A, 3)
-        grid = [list(r) for r in good.data]
-        grid[0][0] = RATIONALS.element(5)
-        corrupt = ExactMatrix(RATIONALS, grid)
-        assert corrupt != iterated_product_rightfold(A, 3)
+        grid = [list(r) for r in A.m.data]
+        grid[0][0] = RATIONALS.add(grid[0][0], 1)
+        corrupt = AlgebraData(A.field, A.dim, ExactMatrix(RATIONALS, grid), A.u)
+        V = flip_braiding(RATIONALS, 2)
+        assert check_triangles_T_Omega(V, 3, algebras=(A,)) is True
+        assert check_triangles_T_Omega(V, 3, algebras=(corrupt,)) is False
 
 
 class TestPrimitiveUnit:

@@ -65,6 +65,23 @@ class TestVerify:
         assert code == 2
         assert "'c'" in err
 
+    @pytest.mark.parametrize("obj, key", [
+        ({"field": {"kind": "rationals"}, "dim": True, "c": [["1"]]}, "'dim'"),
+        ({"field": {"kind": "rationals"}, "dim": 1, "c": [[True]]}, "'c'"),
+        ({"field": {"kind": "prime", "p": 5}, "dim": 1, "c": [[True]]}, "'c'"),
+        ({"field": {"kind": "rationals"}, "dim": 1, "c": [["1"]], "degree": True,
+          "blocks": {}}, "'degree'"),
+    ], ids=["dim", "cell", "cell-mod5", "degree"])
+    def test_json_booleans_rejected(self, capsys, tmp_path, obj, key):
+        # bool is an int subclass in Python; JSON true/false is not a number
+        p = tmp_path / "bool.json"
+        p.write_text(json.dumps(obj))
+        code = main(["verify", "--input", str(p)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert key in captured.err and "Traceback" not in captured.err
+
     def test_determinism(self, files, capsys):
         _, out1 = run(capsys, "verify", "--input", files["flip"])
         _, out2 = run(capsys, "verify", "--input", files["flip"])

@@ -11,9 +11,11 @@ from braidalg import (
     LinearSolveError,
     NotInvertible,
     ShapeError,
-    kron,
     prime_field,
+    vstack,
+    whisker,
 )
+from braidalg.matrix import stack_rows
 from braidalg.gallery import flip_braiding
 
 from oracles import reduced
@@ -42,6 +44,12 @@ class TestFieldSpec:
         assert F5.parse("7") == 2
         assert F5.format(F5.parse("-1")) == "4"
 
+    def test_bool_is_not_a_scalar(self):
+        for field in (RATIONALS, F5):
+            for flag in (True, False):
+                with pytest.raises(TypeError):
+                    field.element(flag)
+
     def test_inverse(self):
         assert F5.inv(2) == 3
         assert RATIONALS.inv(Fraction(2, 3)) == Fraction(3, 2)
@@ -60,23 +68,23 @@ class TestFieldSpec:
 
 class TestKron:
     def test_identity_case(self):
-        assert kron(ExactMatrix.identity(RATIONALS, 2), ExactMatrix.identity(RATIONALS, 3)) \
+        assert ExactMatrix.identity(RATIONALS, 2).kron(ExactMatrix.identity(RATIONALS, 3)) \
             == ExactMatrix.identity(RATIONALS, 6)
 
     def test_one_by_one(self):
-        assert kron(mat(RATIONALS, [[2]]), mat(RATIONALS, [[3]])) == mat(RATIONALS, [[6]])
+        assert mat(RATIONALS, [[2]]).kron(mat(RATIONALS, [[3]])) == mat(RATIONALS, [[6]])
 
     def test_triple_path_dims(self):
         c = flip_braiding(RATIONALS, 2).c
         ident = ExactMatrix.identity(RATIONALS, 2)
-        left = kron(c, ident) * kron(ident, c) * kron(c, ident)
-        right = kron(ident, c) * kron(c, ident) * kron(ident, c)
+        left = c.kron(ident) * ident.kron(c) * c.kron(ident)
+        right = ident.kron(c) * c.kron(ident) * ident.kron(c)
         assert (left.rows, left.cols) == (8, 8)
         assert left == right
 
     def test_field_mismatch(self):
         with pytest.raises(FieldMismatch):
-            kron(ExactMatrix.identity(RATIONALS, 2), ExactMatrix.identity(F5, 2))
+            ExactMatrix.identity(RATIONALS, 2).kron(ExactMatrix.identity(F5, 2))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -86,17 +94,71 @@ class TestKron:
             return mat(RATIONALS, data.draw(
                 st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
         a, b, c = small(2, 1), small(1, 2), small(2, 2)
-        assert kron(kron(a, b), c) == kron(a, kron(b, c))
+        assert a.kron(b).kron(c) == a.kron(b.kron(c))
 
     def test_index_convention(self):
         a = mat(RATIONALS, [[1, 2], [3, 4]])
         b = mat(RATIONALS, [[0, 5], [6, 7]])
-        out = kron(a, b)
+        out = a.kron(b)
         for i in range(2):
             for j in range(2):
                 for k in range(2):
                     for l in range(2):
                         assert out[i * 2 + k, j * 2 + l] == a[i, j] * b[k, l]
+
+
+def typed_cells(m):
+    return [[(type(x), x) for x in row] for row in m.data]
+
+
+class TestWhisker:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_identity_krons(self, data):
+        # the sum of two draws yields unreduced cells such as Fraction(1, 1)
+        # and Fraction(0, 1), whose Python type must survive as kron leaves it
+        field = data.draw(st.sampled_from([RATIONALS, F5]))
+        rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+        scalar = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        def draw():
+            return ExactMatrix(field, data.draw(st.lists(
+                st.lists(scalar, min_size=cols, max_size=cols), min_size=rows, max_size=rows)),
+                rows=rows, cols=cols)
+        X = draw() + draw()
+        for a in range(4):
+            for b in range(4):
+                expected = ExactMatrix.identity(field, a).kron(X).kron(ExactMatrix.identity(field, b))
+                got = whisker(a, X, b)
+                assert (got.rows, got.cols) == (expected.rows, expected.cols)
+                assert typed_cells(got) == typed_cells(expected)
+
+    def test_empty_operands(self):
+        for rows, cols in ((0, 2), (2, 0), (0, 0)):
+            X = ExactMatrix.zeros(F5, rows, cols)
+            for a in range(4):
+                for b in range(4):
+                    got = whisker(a, X, b)
+                    assert (got.rows, got.cols) == (a * rows * b, a * cols * b)
+
+
+class TestStackRows:
+    def test_matches_vstack_fold(self):
+        parts = [mat(F5, [[1, 2, 3]]), ExactMatrix.zeros(F5, 0, 3), mat(F5, [[4, 0, 1], [2, 2, 2]])]
+        expected = ExactMatrix.zeros(F5, 0, 3)
+        for m in parts:
+            expected = vstack(expected, m)
+        assert stack_rows(parts, F5, 3) == expected
+
+    def test_empty_list_keeps_columns(self):
+        out = stack_rows([], RATIONALS, 4)
+        assert (out.rows, out.cols) == (0, 4)
+        assert out == ExactMatrix.zeros(RATIONALS, 0, 4)
+
+    def test_gates(self):
+        with pytest.raises(ShapeError):
+            stack_rows([mat(F5, [[1, 2]])], F5, 3)
+        with pytest.raises(FieldMismatch):
+            stack_rows([mat(F5, [[1, 2]])], RATIONALS, 2)
 
 
 class TestNullspace:

@@ -10,7 +10,6 @@ from braidalg import (
     TruncationOverflow,
     build_truncated,
     check_truncated_axioms,
-    global_braiding_block,
     prime_field,
 )
 from braidalg.gallery import (
@@ -153,13 +152,13 @@ class TestStructure:
         with pytest.raises(BadDegree):
             T.coproduct_block(1, 3)
         with pytest.raises(BadDegree):
-            global_braiding_block(3, 0, T)
+            T.braiding_block(3, 0)
 
     def test_braiding_block_delegation(self):
         V = flip_braiding(RATIONALS, 2)
         T = build_truncated(V, 3)
-        assert global_braiding_block(1, 1, T) == V.c
-        assert global_braiding_block(2, 1, T) == T.braid.block(2, 1)
+        assert T.braiding_block(1, 1) == V.c
+        assert T.braiding_block(2, 1) == T.braid.block(2, 1)
 
     def test_truncation_consistency(self):
         # building deeper never changes the shared range
