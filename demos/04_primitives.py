@@ -21,7 +21,7 @@ from braidalg.gallery import exterior_line, flip_braiding, group_algebra_z2, sca
 T = build_truncated(flip_braiding(RATIONALS, 2), 4)
 print("flip d=2 primitive dimensions, degrees 1..4:", tensor_primitive_dims(T))
 print("degree-2 primitive basis (the commutator e1 x e2 - e2 x e1):")
-print("  ", [primitives_of_tensor(T, 2)[i, 0] for i in range(4)])
+print("  ", primitives_of_tensor(T, 2).transpose().to_strings()[0])
 
 # The ambient braiding restricts to the primitives: in degree (1,1) it is
 # the flip again, on the 1-dim degree-2 space it is the scalar 1.

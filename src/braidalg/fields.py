@@ -20,16 +20,40 @@ RATIONALS_KIND = "rationals"
 PRIME_KIND = "prime"
 
 
+# Miller-Rabin with the first thirteen primes as bases is exact below this
+# bound, psi_13, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017).  The first twelve bases are not enough:
+# psi_12 = 318665857834031151167461 is composite and passes them all.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for ``n < MR_BOUND``.
+
+    Raises ``ValueError`` at or above the bound, where these bases are no
+    longer known to be exact.
+    """
+    if n >= MR_BOUND:
+        raise ValueError(f"modulus {n} is too large: primality is decided only below {MR_BOUND}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    s, t = 0, n - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    for b in _MR_BASES:
+        x = pow(b, t, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -45,7 +69,9 @@ class FieldSpec:
             if self.p is not None:
                 raise ValueError("rationals take no modulus")
         elif self.kind == PRIME_KIND:
-            if self.p is None or not is_prime(self.p):
+            if not isinstance(self.p, int) or isinstance(self.p, bool):
+                raise ValueError(f"modulus must be an integer, got {self.p!r}")
+            if not is_prime(self.p):
                 raise ValueError(f"modulus must be prime, got {self.p!r}")
         else:
             raise ValueError(f"unknown field kind {self.kind!r}")

@@ -1,4 +1,8 @@
-"""Dense exact matrices: the carrier of every structure map in the package.
+"""Exact matrices: the carrier of every structure map in the package.
+
+Storage is a dense grid of field elements.  Elimination (``rref`` and so
+``nullspace``, ``solve`` and ``inverse``) runs on sparse rows and touches
+only nonzeros.
 
 Conventions, pinned once and used everywhere:
 
@@ -202,34 +206,32 @@ class ExactMatrix:
     def rref(self) -> tuple["ExactMatrix", tuple[int, ...]]:
         """Reduced row echelon form and the pivot columns.
 
-        Deterministic: scans columns left to right, picks the first nonzero
-        entry at or below the current row as pivot.
+        The RREF of a row space is unique, so the order of elimination does
+        not show in the result.  Rows are taken one at a time as sparse
+        ``{col: value}`` dicts and cleared against the pivot rows found so
+        far, which are kept reduced against each other; an update walks only
+        the pivot row's nonzeros, and a row that cancels to nothing drops out.
+        Each pivot row is scaled to a leading one when it is found.
         """
         f = self.field
-        zero = f.zero
-        grid = [list(row) for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
-                break
-            pr = None
-            for i in range(r, self.rows):
-                if grid[i][c] != zero:
-                    pr = i
-                    break
-            if pr is None:
+        found: dict[int, dict] = {}
+        for row in self.data:
+            r = {j: x for j, x in enumerate(row) if x != 0}
+            for c in [j for j in r if j in found]:
+                _clear(f, r, found[c], c)
+            if not r:
                 continue
-            grid[r], grid[pr] = grid[pr], grid[r]
-            inv = f.inv(grid[r][c])
-            grid[r] = [f.mul(inv, x) for x in grid[r]]
-            for i in range(self.rows):
-                if i != r and grid[i][c] != zero:
-                    factor = grid[i][c]
-                    row_r = grid[r]
-                    grid[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(grid[i], row_r)]
-            pivots.append(c)
-            r += 1
+            lead = min(r)
+            inv = f.inv(r[lead])
+            r = {j: f.mul(inv, x) for j, x in r.items()}
+            for other in found.values():
+                if lead in other:
+                    _clear(f, other, r, lead)
+            found[lead] = r
+        pivots = sorted(found)
+        zero = f.zero
+        grid = [[found[c].get(j, zero) for j in range(self.cols)] for c in pivots]
+        grid.extend([zero] * self.cols for _ in range(self.rows - len(pivots)))
         return ExactMatrix._raw(f, grid, self.rows, self.cols), tuple(pivots)
 
     def rank(self) -> int:
@@ -299,6 +301,18 @@ class ExactMatrix:
     def to_strings(self) -> list[list[str]]:
         fmt = self.field.format
         return [[fmt(x) for x in row] for row in self.data]
+
+
+def _clear(f: FieldSpec, row: dict, pivot_row: dict, c: int) -> None:
+    """Clear column ``c`` of the sparse ``row`` in place: the pivot row has a
+    one there, so this is ``row -= row[c] * pivot_row`` over its nonzeros."""
+    t = row[c]
+    for j, y in pivot_row.items():
+        x = f.sub(row.get(j, 0), f.mul(t, y))
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

@@ -91,12 +91,13 @@ def build_truncated(V: BraidedObject, N: int) -> TruncatedTensorBialgebra:
     blocks: dict[tuple[int, int], ExactMatrix] = {(0, 0): ExactMatrix.identity(f, 1)}
     for n in range(1, N + 1):
         for k in range(n + 1):
-            total = ExactMatrix.zeros(f, d ** n, d ** n)
+            total = None
             if k <= n - 1:
-                total = total + whisker(1, blocks[(k, n - 1)], d)
+                total = whisker(1, blocks[(k, n - 1)], d)
             if k >= 1:
                 mover = whisker(d ** (k - 1), braid.block(n - k, 1), 1)
-                total = total + mover * whisker(1, blocks[(k - 1, n - 1)], d)
+                moved = mover * whisker(1, blocks[(k - 1, n - 1)], d)
+                total = moved if total is None else total + moved
             blocks[(k, n)] = total
     return TruncatedTensorBialgebra(V, N, braid, blocks)
 

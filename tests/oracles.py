@@ -8,6 +8,8 @@ matrix and recursion code, so agreement is meaningful.
 from itertools import combinations
 from math import gcd
 
+from braidalg.matrix import ExactMatrix
+
 
 def digits_of(flat, length, d):
     out = [0] * length
@@ -157,3 +159,41 @@ def exterior_square_table(sign):
             coeff = sign if (b and c) else 1
             out[index[(a + c, b + d)]][i * 4 + j] = coeff
     return out
+
+
+def dense_rref(self):
+    """Reduced row echelon form and the pivot columns, on the dense grid.
+
+    The elimination ``ExactMatrix.rref`` used before it went sparse, kept
+    as its reference: every row update runs over every column.  Written as
+    a method body so tests can bind it in place of ``ExactMatrix.rref``.
+
+    Deterministic: scans columns left to right, picks the first nonzero
+    entry at or below the current row as pivot.
+    """
+    f = self.field
+    zero = f.zero
+    grid = [list(row) for row in self.data]
+    pivots = []
+    r = 0
+    for c in range(self.cols):
+        if r >= self.rows:
+            break
+        pr = None
+        for i in range(r, self.rows):
+            if grid[i][c] != zero:
+                pr = i
+                break
+        if pr is None:
+            continue
+        grid[r], grid[pr] = grid[pr], grid[r]
+        inv = f.inv(grid[r][c])
+        grid[r] = [f.mul(inv, x) for x in grid[r]]
+        for i in range(self.rows):
+            if i != r and grid[i][c] != zero:
+                factor = grid[i][c]
+                row_r = grid[r]
+                grid[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(grid[i], row_r)]
+        pivots.append(c)
+        r += 1
+    return ExactMatrix._raw(f, grid, self.rows, self.cols), tuple(pivots)

@@ -245,3 +245,12 @@ def test_criterion_10_cli_determinism_roundtrip(tmp_path, capsys):
         assert cli_main(["build", "--input", str(flip_path), "--degree", "3",
                          "--out", str(built2)]) == 0
         assert built.read_text() == built2.read_text()
+
+
+def test_criterion_11_primitive_frontier():
+    # the graded primitives of T(V) for the flip are the free Lie algebra,
+    # so every degree must match the Witt number
+    with budget("11 primitive frontier", 30.0):
+        for d, N in ((2, 9), (3, 6)):
+            T = build_truncated(flip_braiding(RATIONALS, d), N)
+            assert tensor_primitive_dims(T) == [witt_dimension(d, n) for n in range(1, N + 1)]

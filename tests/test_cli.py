@@ -82,6 +82,16 @@ class TestVerify:
         assert captured.out == ""
         assert key in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("p", ["7", 7.0, True], ids=["string", "float", "bool"])
+    def test_non_integer_modulus_rejected(self, capsys, tmp_path, p):
+        path = tmp_path / "modulus.json"
+        path.write_text(json.dumps({"field": {"kind": "prime", "p": p}, "dim": 1, "c": [["1"]]}))
+        code = main(["verify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "'field'" in captured.err and "Traceback" not in captured.err
+
     def test_determinism(self, files, capsys):
         _, out1 = run(capsys, "verify", "--input", files["flip"])
         _, out2 = run(capsys, "verify", "--input", files["flip"])

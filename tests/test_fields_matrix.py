@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,10 +16,11 @@ from braidalg import (
     vstack,
     whisker,
 )
+from braidalg.fields import MR_BOUND, FieldSpec, is_prime
 from braidalg.matrix import stack_rows
 from braidalg.gallery import flip_braiding
 
-from oracles import reduced
+from oracles import dense_rref, reduced
 
 F5 = prime_field(5)
 
@@ -35,6 +37,45 @@ class TestFieldSpec:
             prime_field(1)
         prime_field(2)
         prime_field(97)
+
+    def test_is_prime_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % f for f in range(2, int(n ** 0.5) + 1))
+        assert [n for n in range(10 ** 5) if is_prime(n)] == [n for n in range(10 ** 5) if trial(n)]
+
+    def test_carmichael_numbers_rejected(self):
+        # Fermat liars to every coprime base; Miller-Rabin must still refuse them
+        for n in (561, 41041, 825265):
+            assert not is_prime(n)
+            with pytest.raises(ValueError):
+                prime_field(n)
+
+    def test_strong_pseudoprimes_rejected(self):
+        # psi_k, the least strong pseudoprime to the first k prime bases
+        # (OEIS A014233), for k = 1, 2, 3, 4, 5, 6, 7 = 8, 9 = 10 = 11 and 12;
+        # psi_12 passes every base below 41, so the thirteenth base is needed
+        for n in (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                  341550071728321, 3825123056546413051, 318665857834031151167461):
+            assert not is_prime(n)
+            with pytest.raises(ValueError, match="prime"):
+                prime_field(n)
+        # psi_13 is the bound itself, where the test stops being known exact
+        assert MR_BOUND == 3317044064679887385961981
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(MR_BOUND)
+
+    def test_large_moduli(self):
+        start = time.perf_counter()
+        assert prime_field(10 ** 17 + 3).p == 10 ** 17 + 3
+        assert not is_prime(10 ** 17 + 1)
+        assert time.perf_counter() - start < 0.5
+        with pytest.raises(ValueError, match="too large"):
+            prime_field(MR_BOUND + 2)
+
+    @pytest.mark.parametrize("p", ["7", 7.0, True, None])
+    def test_modulus_must_be_an_int(self, p):
+        with pytest.raises(ValueError, match="integer"):
+            FieldSpec("prime", p)
 
     def test_parse_format_roundtrip(self):
         assert RATIONALS.parse("-3/6") == Fraction(-1, 2)
@@ -250,6 +291,82 @@ class TestInverseAndSolve:
             mat(RATIONALS, [[1]]) * mat(RATIONALS, [[1, 2], [3, 4]])
         with pytest.raises(ShapeError):
             mat(RATIONALS, [[1]]) + mat(RATIONALS, [[1, 2]])
+
+
+ORACLE_FIELDS = [RATIONALS, prime_field(2), F5, prime_field(999999937)]
+
+
+@st.composite
+def elimination_inputs(draw):
+    """A matrix, possibly empty, square, tall or rank-deficient, and two
+    right-hand sides for ``solve``, one of them consistent."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    if field.p is None:
+        scalar = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    else:
+        scalar = st.integers(0, field.p - 1)
+    cell = st.one_of(st.just(0), scalar)
+    cols = draw(st.integers(0, 5))
+    rows = cols if draw(st.booleans()) else draw(st.integers(0, 8))
+
+    def grid(r, c):
+        return draw(st.lists(st.lists(cell, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    m = ExactMatrix(field, grid(rows, cols), rows=rows, cols=cols)
+    if rows >= 2 and draw(st.booleans()):
+        # replace the last row by a combination of the first two
+        a, b = draw(scalar), draw(scalar)
+        first, second = (ExactMatrix(field, [m.data[i]], cols=cols) for i in (0, 1))
+        last = first.scale(a) + second.scale(b)
+        m = ExactMatrix(field, list(m.data[:-1]) + [last.data[0]], rows=rows, cols=cols)
+    if field.p is None:
+        # arithmetic can leave integral cells held as Fraction(k, 1); only
+        # the raw constructor keeps them that way
+        held = [[Fraction(x) if isinstance(x, int) and draw(st.booleans()) else x
+                 for x in row] for row in m.data]
+        m = ExactMatrix._raw(field, held, rows, cols)
+    k = draw(st.integers(0, 2))
+    consistent = m * ExactMatrix(field, grid(cols, k), rows=cols, cols=k)
+    arbitrary = ExactMatrix(field, grid(rows, k), rows=rows, cols=k)
+    return m, consistent, arbitrary
+
+
+def outcome(call):
+    """A matrix result with its strings, or the type of the error raised."""
+    try:
+        out = call()
+    except (LinearSolveError, NotInvertible) as exc:
+        return type(exc)
+    return out, out.to_strings()
+
+
+def elimination_outcomes(m, rhs1, rhs2):
+    R, pivots = m.rref()
+    return [
+        (R, R.to_strings(), pivots),
+        outcome(m.nullspace),
+        outcome(m.inverse),
+        outcome(lambda: m.solve(rhs1)),
+        outcome(lambda: m.solve(rhs2)),
+    ]
+
+
+class TestSparseRref:
+    @given(elimination_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_oracle(self, inputs):
+        got = elimination_outcomes(*inputs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ExactMatrix, "rref", dense_rref)
+            expected = elimination_outcomes(*inputs)
+        assert got == expected
+
+    def test_unreduced_integral_cells(self):
+        # integral cells held as Fraction(k, 1), as arithmetic over Q leaves them
+        m = ExactMatrix._raw(RATIONALS, [[Fraction(2), Fraction(4), 1], [Fraction(3), 6, Fraction(0)]], 2, 3)
+        R, pivots = m.rref()
+        assert pivots == (0, 2)
+        assert R.to_strings() == [["1", "2", "0"], ["0", "0", "1"]]
 
 
 class TestSerialization:
