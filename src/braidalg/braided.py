@@ -59,12 +59,12 @@ def compare(name: str, lhs: ExactMatrix, rhs: ExactMatrix) -> CheckItem:
     """Equality check producing, on failure, the first differing entry."""
     if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
         return CheckItem(name, False, f"shape {lhs.rows}x{lhs.cols} vs {rhs.rows}x{rhs.cols}")
-    for i in range(lhs.rows):
-        for j in range(lhs.cols):
-            if lhs.data[i][j] != rhs.data[i][j]:
-                a = lhs.field.format(lhs.data[i][j])
-                b = rhs.field.format(rhs.data[i][j])
-                return CheckItem(name, False, f"first difference at ({i},{j}): {a} != {b}")
+    for i, (ra, rb) in enumerate(zip(lhs.nonzeros, rhs.nonzeros)):
+        if ra != rb:
+            j = min(j for j in ra.keys() | rb.keys() if ra.get(j, 0) != rb.get(j, 0))
+            a = lhs.field.format(ra.get(j, lhs.field.zero))
+            b = rhs.field.format(rb.get(j, rhs.field.zero))
+            return CheckItem(name, False, f"first difference at ({i},{j}): {a} != {b}")
     return CheckItem(name, True)
 
 

@@ -63,13 +63,26 @@ def _require_degree(value: int | None, minimum: int = 1) -> int:
     return value
 
 
+# The largest tensor power ``dim ** degree`` a command may work on: every
+# block it builds is at most that many rows and columns.  A dimension below
+# 2 counts as 2, so the degree is bounded too.  The shipped demos, tests and
+# benchmark jobs stay at 2^8 = 256 or below.
+MAX_TENSOR_DIM = 1024
+
+
+def _require_size(dim: int, degree: int, what: str = "'--degree'") -> None:
+    base = max(dim, 2)
+    if degree >= MAX_TENSOR_DIM.bit_length() or base ** degree > MAX_TENSOR_DIM:
+        raise SchemaError(f"{what}: {dim}^{degree} is above the size bound {MAX_TENSOR_DIM}")
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"'--input': cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise SchemaError(f"'--input': {path} is not valid JSON: {exc}") from exc
 
 
@@ -127,6 +140,7 @@ def _verify_build_dump(obj: dict, report: dict) -> AxiomReport:
     degree = obj.get("degree")
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
         raise SchemaError("'degree' must be a positive integer")
+    _require_size(V.dim, degree, "'degree'")
     blocks = obj.get("blocks")
     if not isinstance(blocks, dict):
         raise SchemaError("'blocks' must be an object")
@@ -163,6 +177,7 @@ def cmd_build(args) -> int:
     _require_degree(args.degree)
     obj = _load_json(args.input)
     V = braiding_from_json(obj)
+    _require_size(V.dim, args.degree)
     gate = check_yang_baxter(V)
     if not gate.passed:
         report = _base_report("build", {"input": args.input, "degree": args.degree,
@@ -211,6 +226,7 @@ def cmd_primitives(args) -> int:
     elif kind == "braiding":
         _require_degree(args.degree)
         V = braiding_from_json(obj)
+        _require_size(V.dim, args.degree)
         T = build_truncated(V, args.degree)
         dims = []
         bases = {}
@@ -233,6 +249,7 @@ def cmd_braidrep(args) -> int:
         raise SchemaError(f"'--m'/'--n' must be non-negative, got ({args.m},{args.n})")
     obj = _load_json(args.input)
     V = braiding_from_json(obj)
+    _require_size(V.dim, args.m + args.n, "'--m' + '--n'")
     gate = check_yang_baxter(V)
     if not gate.passed:
         print(f"error: input braiding fails {gate.failures()[0].name}", file=sys.stderr)
@@ -260,6 +277,8 @@ def cmd_transport(args) -> int:
         raise SchemaError("exactly one of '--g' and '--twist' is required")
     if args.g is not None:
         gobj = _load_json(args.g)
+        if not isinstance(gobj, dict):
+            raise SchemaError("'--g' must hold a JSON object")
         field = field_from_json(gobj.get("field", B.field.to_json()))
         if field != B.field:
             raise SchemaError("'g' field must match the bialgebra's field")
@@ -268,7 +287,11 @@ def cmd_transport(args) -> int:
         F = basis_change(g)
         fdesc = {"kind": "basis_change", "g": matrix_to_json(g)}
     else:
-        F = scalar_twist(B.field, B.field.parse(args.twist))
+        try:
+            scale = B.field.parse(args.twist)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"'--twist': {exc}") from exc
+        F = scalar_twist(B.field, scale)
         fdesc = {"kind": "scalar_twist", "scale": args.twist}
     out = transport_bialgebra(F, B, check=False)
     rep = check_braided_bialgebra(out)
@@ -292,6 +315,9 @@ def cmd_transport(args) -> int:
 
 def cmd_jcheck(args) -> int:
     _require_degree(args.degree, minimum=2)
+    if args.dim < 1:
+        raise SchemaError(f"'--dim' must be an integer >= 1, got {args.dim}")
+    _require_size(args.dim, args.degree)
     field = _parse_field(args.field)
     if args.base == FLIP:
         base = BaseBraiding(FLIP)
@@ -322,6 +348,7 @@ def cmd_adjunction_check(args) -> int:
     B = bialgebra_from_json(_load_json(args.bialgebra))
     if V.field != B.field:
         raise SchemaError("'--braiding' and '--bialgebra' must share one field")
+    _require_size(max(V.dim, B.dim), args.degree)
     gate = check_braided_bialgebra(B)
     rows: list[dict] = []
     if gate.passed:

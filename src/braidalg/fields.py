@@ -162,7 +162,7 @@ class FieldSpec:
         if kind == PRIME_KIND:
             return FieldSpec(PRIME_KIND, obj.get("p"))
         if kind == RATIONALS_KIND:
-            return FieldSpec(RATIONALS_KIND)
+            return FieldSpec(RATIONALS_KIND, obj.get("p"))
         raise ValueError(f"unknown field kind {kind!r}")
 
     def __str__(self) -> str:

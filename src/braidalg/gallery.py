@@ -56,9 +56,8 @@ def corrupted_flip(field: FieldSpec, dim: int = 2) -> BraidedObject:
     diagonal twist ``e_i ⊗ e_j -> q_ij e_j ⊗ e_i`` of the flip satisfies the
     Yang-Baxter equation for every choice of coefficients.
     """
-    base = flip_braiding(field, dim)
-    grid = [list(r) for r in base.c.data]
-    grid[0][1] = field.element(1)
+    grid = flip_braiding(field, dim).c.to_strings()
+    grid[0][1] = "1"
     c = ExactMatrix(field, grid)
     return BraidedObject(field, dim, c, c.inverse())
 

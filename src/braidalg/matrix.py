@@ -1,8 +1,9 @@
 """Exact matrices: the carrier of every structure map in the package.
 
-Storage is a dense grid of field elements.  Elimination (``rref`` and so
-``nullspace``, ``solve`` and ``inverse``) runs on sparse rows and touches
-only nonzeros.
+Storage is sparse: each row is a ``{col: value}`` dict of its nonzero
+cells.  Every kernel walks nonzeros only and drops results that cancel, so
+no zero is ever stored and equal matrices have equal rows.  ``data`` is a
+dense view for inspection and tests; no kernel reads it.
 
 Conventions, pinned once and used everywhere:
 
@@ -26,9 +27,10 @@ from .fields import FieldSpec, require_same_field
 
 
 class ExactMatrix:
-    """Immutable dense matrix over a ``FieldSpec``."""
+    """Immutable sparse matrix over a ``FieldSpec``.  ``nonzeros`` holds one
+    ``{col: value}`` dict per row; rows are shared, so never mutate them."""
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "nonzeros")
 
     def __init__(self, field: FieldSpec, entries, rows: int | None = None, cols: int | None = None):
         rows = len(entries) if rows is None else rows
@@ -36,17 +38,25 @@ class ExactMatrix:
             if rows == 0:
                 raise ShapeError("column count required for a matrix with no rows")
             cols = len(entries[0])
-        grid = []
+        element = field.element
+        out = []
         for r in entries:
             if len(r) != cols:
                 raise ShapeError("ragged rows")
-            grid.append(tuple(field.element(x) for x in r))
-        if len(grid) != rows:
+            row = {}
+            for j, x in enumerate(r):
+                # the string "0" is element("0") over every field
+                if x != "0":
+                    x = element(x)
+                    if x:
+                        row[j] = x
+            out.append(row)
+        if len(out) != rows:
             raise ShapeError("row count mismatch")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", tuple(grid))
+        object.__setattr__(self, "nonzeros", tuple(out))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -54,23 +64,23 @@ class ExactMatrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _raw(cls, field, grid, rows, cols):
+    def _raw(cls, field, nonzeros, rows, cols):
+        """A matrix on rows that already hold only nonzero field elements."""
         m = object.__new__(cls)
         object.__setattr__(m, "field", field)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", tuple(tuple(r) for r in grid))
+        object.__setattr__(m, "nonzeros", tuple(nonzeros))
         return m
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
-        one, zero = field.one, field.zero
-        return cls._raw(field, [[one if i == j else zero for j in range(n)] for i in range(n)], n, n)
+        one = field.one
+        return cls._raw(field, ({i: one} for i in range(n)), n, n)
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
-        zero = field.zero
-        return cls._raw(field, [[zero] * cols for _ in range(rows)], rows, cols)
+        return cls._raw(field, ({} for _ in range(rows)), rows, cols)
 
     @classmethod
     def column(cls, field: FieldSpec, values) -> "ExactMatrix":
@@ -82,9 +92,21 @@ class ExactMatrix:
 
     # -- basics ----------------------------------------------------------
 
+    @property
+    def data(self) -> tuple[tuple, ...]:
+        """The dense row-major grid, zeros included, built on each access."""
+        zero = self.field.zero
+        out = []
+        for row in self.nonzeros:
+            dense = [zero] * self.cols
+            for j, x in row.items():
+                dense[j] = x
+            out.append(tuple(dense))
+        return tuple(out)
+
     def __getitem__(self, ij):
         i, j = ij
-        return self.data[i][j]
+        return self.nonzeros[i].get(range(self.cols)[j], self.field.zero)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExactMatrix):
@@ -93,29 +115,24 @@ class ExactMatrix:
             self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.nonzeros == other.nonzeros
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.rows, self.cols, self.data))
+        rows = tuple(frozenset(row.items()) for row in self.nonzeros)
+        return hash((self.field, self.rows, self.cols, rows))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(self.field.format(x) for x in row) for row in self.data)
+        body = "; ".join(" ".join(row) for row in self.to_strings())
         return f"ExactMatrix({self.field}, {self.rows}x{self.cols}: [{body}])"
 
     def is_zero(self) -> bool:
-        zero = self.field.zero
-        return all(x == zero for row in self.data for x in row)
+        return not any(self.nonzeros)
 
     def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one, zero = self.field.one, self.field.zero
-        return all(
-            self.data[i][j] == (one if i == j else zero)
-            for i in range(self.rows)
-            for j in range(self.cols)
-        )
+        one = self.field.one
+        return self.rows == self.cols and all(
+            len(row) == 1 and row.get(i) == one for i, row in enumerate(self.nonzeros))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -123,83 +140,84 @@ class ExactMatrix:
         require_same_field(self.field, other.field)
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError(f"cannot add {self.rows}x{self.cols} and {other.rows}x{other.cols}")
-        norm = self.field.normalize
-        grid = [
-            [norm(a + b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ]
-        return ExactMatrix._raw(self.field, grid, self.rows, self.cols)
+        return self._merge(other, negate=False)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
+        return self._merge(other, negate=True)
+
+    def _merge(self, other: "ExactMatrix", negate: bool) -> "ExactMatrix":
+        """``self + other``, or ``self - other``, row by row over nonzeros."""
         self._check_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError(f"cannot subtract {other.rows}x{other.cols} from {self.rows}x{self.cols}")
+            raise ShapeError(f"cannot {'subtract' if negate else 'add'} "
+                             f"{self.rows}x{self.cols} and {other.rows}x{other.cols}")
         norm = self.field.normalize
-        grid = [
-            [norm(a - b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(self.data, other.data)
-        ]
-        return ExactMatrix._raw(self.field, grid, self.rows, self.cols)
+        out = []
+        for ra, rb in zip(self.nonzeros, other.nonzeros):
+            if not rb:
+                out.append(ra)
+                continue
+            row = dict(ra)
+            for j, b in rb.items():
+                a = row.get(j, 0)
+                x = norm(a - b if negate else a + b)
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            out.append(row)
+        return ExactMatrix._raw(self.field, out, self.rows, self.cols)
 
     def __neg__(self) -> "ExactMatrix":
         norm = self.field.normalize
-        grid = [[norm(-a) for a in row] for row in self.data]
-        return ExactMatrix._raw(self.field, grid, self.rows, self.cols)
+        out = ({j: norm(-x) for j, x in row.items()} for row in self.nonzeros)
+        return ExactMatrix._raw(self.field, out, self.rows, self.cols)
 
     def scale(self, s) -> "ExactMatrix":
         s = self.field.element(s)
+        if not s:
+            return ExactMatrix.zeros(self.field, self.rows, self.cols)
         norm = self.field.normalize
-        grid = [[norm(s * a) for a in row] for row in self.data]
-        return ExactMatrix._raw(self.field, grid, self.rows, self.cols)
+        out = ({j: norm(s * x) for j, x in row.items()} for row in self.nonzeros)
+        return ExactMatrix._raw(self.field, out, self.rows, self.cols)
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Matrix product; skips zero entries, which keeps the ubiquitous
-        signed-permutation products near quadratic instead of cubic."""
+        """Matrix product: each row is the sum of the rows of ``other``
+        picked out by its nonzeros, so a signed permutation costs one pass."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         self._check_field(other)
         if self.cols != other.rows:
             raise ShapeError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
         norm = self.field.normalize
-        zero = self.field.zero
-        out = [[0] * other.cols for _ in range(self.rows)]
-        odata = other.data
-        for i, row in enumerate(self.data):
-            oi = out[i]
-            for k, a in enumerate(row):
-                if a == zero:
-                    continue
-                for j, b in enumerate(odata[k]):
-                    if b != zero:
-                        oi[j] += a * b
-        grid = [[norm(x) for x in row] for row in out]
-        return ExactMatrix._raw(self.field, grid, self.rows, other.cols)
+        orows = other.nonzeros
+        out = []
+        for row in self.nonzeros:
+            acc = {}
+            for k, a in row.items():
+                for j, b in orows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x for j, y in acc.items() if (x := norm(y))})
+        return ExactMatrix._raw(self.field, out, self.rows, other.cols)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product, the tensor product of linear maps."""
         self._check_field(other)
         norm = self.field.normalize
-        zero = self.field.zero
-        R, C = self.rows * other.rows, self.cols * other.cols
-        out = [[zero] * C for _ in range(R)]
-        for i, row in enumerate(self.data):
-            for j, a in enumerate(row):
-                if a == zero:
-                    continue
-                for k, orow in enumerate(other.data):
-                    dest = out[i * other.rows + k]
-                    base = j * other.cols
-                    for l, b in enumerate(orow):
-                        if b != zero:
-                            dest[base + l] = norm(a * b)
-        return ExactMatrix._raw(self.field, out, R, C)
+        width = other.cols
+        out = (
+            {j * width + l: norm(a * b) for j, a in ra.items() for l, b in rb.items()}
+            for ra in self.nonzeros
+            for rb in other.nonzeros
+        )
+        return ExactMatrix._raw(self.field, out, self.rows * other.rows, self.cols * other.cols)
 
     def transpose(self) -> "ExactMatrix":
-        grid = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return ExactMatrix._raw(self.field, grid, self.cols, self.rows)
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.nonzeros):
+            for j, x in row.items():
+                out[j][i] = x
+        return ExactMatrix._raw(self.field, out, self.cols, self.rows)
 
     # -- elimination -------------------------------------------------------
 
@@ -207,32 +225,33 @@ class ExactMatrix:
         """Reduced row echelon form and the pivot columns.
 
         The RREF of a row space is unique, so the order of elimination does
-        not show in the result.  Rows are taken one at a time as sparse
-        ``{col: value}`` dicts and cleared against the pivot rows found so
-        far, which are kept reduced against each other; an update walks only
-        the pivot row's nonzeros, and a row that cancels to nothing drops out.
-        Each pivot row is scaled to a leading one when it is found.
+        not show in the result.  Rows are taken one at a time and cleared
+        against the pivot rows found so far, which are kept reduced against
+        each other; an update walks only the pivot row's nonzeros, and a row
+        that cancels to nothing drops out.  Each pivot row is scaled to a
+        leading one when it is found.
         """
         f = self.field
         found: dict[int, dict] = {}
-        for row in self.data:
-            r = {j: x for j, x in enumerate(row) if x != 0}
-            for c in [j for j in r if j in found]:
-                _clear(f, r, found[c], c)
-            if not r:
+        for row in self.nonzeros:
+            hits = [j for j in row if j in found]
+            if hits:
+                row = dict(row)
+                for c in hits:
+                    _clear(f, row, found[c], c)
+            if not row:
                 continue
-            lead = min(r)
-            inv = f.inv(r[lead])
-            r = {j: f.mul(inv, x) for j, x in r.items()}
+            lead = min(row)
+            inv = f.inv(row[lead])
+            row = {j: f.mul(inv, x) for j, x in row.items()}
             for other in found.values():
                 if lead in other:
-                    _clear(f, other, r, lead)
-            found[lead] = r
+                    _clear(f, other, row, lead)
+            found[lead] = row
         pivots = sorted(found)
-        zero = f.zero
-        grid = [[found[c].get(j, zero) for j in range(self.cols)] for c in pivots]
-        grid.extend([zero] * self.cols for _ in range(self.rows - len(pivots)))
-        return ExactMatrix._raw(f, grid, self.rows, self.cols), tuple(pivots)
+        out = [found[c] for c in pivots]
+        out.extend({} for _ in range(self.rows - len(pivots)))
+        return ExactMatrix._raw(f, out, self.rows, self.cols), tuple(pivots)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -248,20 +267,17 @@ class ExactMatrix:
         f = self.field
         R, pivots = self.rref()
         pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        if not free:
+        vectors = {fc: {fc: f.one} for fc in range(self.cols) if fc not in pivot_set}
+        if not vectors:
             return ExactMatrix.zeros(f, self.cols, 0)
-        vectors = []
-        for fc in free:
-            v = [f.zero] * self.cols
-            v[fc] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.data[r][fc])
-            vectors.append(v)
-        raw_t = ExactMatrix._raw(f, vectors, len(vectors), self.cols)
+        # a reduced pivot row is nonzero only at its pivot and at free columns
+        for pc, row in zip(pivots, R.nonzeros):
+            for fc, x in row.items():
+                if fc != pc:
+                    vectors[fc][pc] = f.neg(x)
+        raw_t = ExactMatrix._raw(f, vectors.values(), len(vectors), self.cols)
         canon, piv = raw_t.rref()
-        kept = [list(canon.data[i]) for i in range(len(piv))]
-        basis_t = ExactMatrix._raw(f, kept, len(piv), self.cols)
+        basis_t = ExactMatrix._raw(f, canon.nonzeros[:len(piv)], len(piv), self.cols)
         return basis_t.transpose()
 
     def inverse(self) -> "ExactMatrix":
@@ -272,8 +288,7 @@ class ExactMatrix:
         R, pivots = aug.rref()
         if len(pivots) < n or any(p >= n for p in pivots):
             raise NotInvertible("matrix is singular")
-        grid = [row[n:] for row in R.data]
-        return ExactMatrix._raw(self.field, grid, n, n)
+        return ExactMatrix._raw(self.field, _right_part(R.nonzeros, n), n, n)
 
     def solve(self, rhs: "ExactMatrix") -> "ExactMatrix":
         """Unique exact solution ``X`` of ``self * X = rhs``.
@@ -290,17 +305,21 @@ class ExactMatrix:
             raise LinearSolveError("inconsistent system")
         if len(pivots) < self.cols:
             raise LinearSolveError("solution is not unique")
-        zero = self.field.zero
-        grid = [[zero] * rhs.cols for _ in range(self.cols)]
-        for r, pc in enumerate(pivots):
-            grid[pc] = list(R.data[r][self.cols:])
-        return ExactMatrix._raw(self.field, grid, self.cols, rhs.cols)
+        # the pivots are exactly 0 .. cols-1, so row r of R solves for x_r
+        out = _right_part(R.nonzeros[:self.cols], self.cols)
+        return ExactMatrix._raw(self.field, out, self.cols, rhs.cols)
 
     # -- serialization -----------------------------------------------------
 
     def to_strings(self) -> list[list[str]]:
         fmt = self.field.format
-        return [[fmt(x) for x in row] for row in self.data]
+        out = []
+        for row in self.nonzeros:
+            strings = ["0"] * self.cols
+            for j, x in row.items():
+                strings[j] = fmt(x)
+            out.append(strings)
+        return out
 
 
 def _clear(f: FieldSpec, row: dict, pivot_row: dict, c: int) -> None:
@@ -315,20 +334,22 @@ def _clear(f: FieldSpec, row: dict, pivot_row: dict, c: int) -> None:
             del row[j]
 
 
+def _right_part(rows, offset: int):
+    """The cells at columns ``>= offset`` of each row, shifted left by it."""
+    return ({j - offset: x for j, x in row.items() if j >= offset} for row in rows)
+
+
 def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     require_same_field(a.field, b.field)
     if a.rows != b.rows:
         raise ShapeError("hstack needs equal row counts")
-    grid = [list(ra) + list(rb) for ra, rb in zip(a.data, b.data)]
-    return ExactMatrix._raw(a.field, grid, a.rows, a.cols + b.cols)
+    shift = a.cols
+    out = ({**ra, **{j + shift: x for j, x in rb.items()}} for ra, rb in zip(a.nonzeros, b.nonzeros))
+    return ExactMatrix._raw(a.field, out, a.rows, a.cols + b.cols)
 
 
 def vstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    require_same_field(a.field, b.field)
-    if a.cols != b.cols:
-        raise ShapeError("vstack needs equal column counts")
-    grid = [list(r) for r in a.data] + [list(r) for r in b.data]
-    return ExactMatrix._raw(a.field, grid, a.rows + b.rows, a.cols)
+    return stack_rows([a, b], a.field, a.cols)
 
 
 def stack_rows(mats: list[ExactMatrix], field: FieldSpec, cols: int) -> ExactMatrix:
@@ -337,33 +358,26 @@ def stack_rows(mats: list[ExactMatrix], field: FieldSpec, cols: int) -> ExactMat
         require_same_field(field, m.field)
         if m.cols != cols:
             raise ShapeError("vstack needs equal column counts")
-    grid = [row for m in mats for row in m.data]
-    return ExactMatrix._raw(field, grid, len(grid), cols)
+    out = tuple(row for m in mats for row in m.nonzeros)
+    return ExactMatrix._raw(field, out, len(out), cols)
 
 
 def whisker(left: int, X: ExactMatrix, right: int) -> ExactMatrix:
     """``1_left ⊗ X ⊗ 1_right``: ``X`` acting on the middle tensor factor.
 
-    Built in one pass: each entry of ``X`` is copied onto its
-    ``left * right`` diagonal positions and every other cell is the field's
-    zero, so each cell holds the value that
-    ``identity(left).kron(X).kron(identity(right))`` gives.
+    Each nonzero of ``X`` is copied onto its ``left * right`` diagonal
+    positions, so the result holds ``left * right * nnz(X)`` cells, each the
+    value that ``identity(left).kron(X).kron(identity(right))`` gives.
     """
-    zero = X.field.zero
-    # kron skips zero entries, so an unreduced zero such as Fraction(0, 1)
-    # comes out as the field's zero there too
-    rows = [[x if x != zero else zero for x in row] for row in X.data]
-    cols = X.cols * right
-    width = left * cols
-    grid = []
+    if left == right == 1:
+        return X
+    out = []
     for s in range(left):
-        start = s * cols
-        for row in rows:
-            for t in range(start, start + right):
-                out = [zero] * width
-                out[t:start + cols:right] = row
-                grid.append(out)
-    return ExactMatrix._raw(X.field, grid, left * X.rows * right, width)
+        shift = s * X.cols
+        for row in X.nonzeros:
+            for t in range(right):
+                out.append({(shift + j) * right + t: x for j, x in row.items()})
+    return ExactMatrix._raw(X.field, out, left * X.rows * right, left * X.cols * right)
 
 
 def kron_power(m: ExactMatrix, n: int) -> ExactMatrix:

@@ -45,6 +45,8 @@ def field_from_json(obj, key: str = "field") -> FieldSpec:
 
 
 def _require(obj: dict, key: str):
+    if not isinstance(obj, dict):
+        raise SchemaError("input must be a JSON object")
     if key not in obj:
         raise SchemaError(f"missing key '{key}'")
     return obj[key]

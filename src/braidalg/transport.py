@@ -196,8 +196,7 @@ def _parities(base: BaseBraiding, dim: int) -> list[int]:
 def J_braiding(base: BaseBraiding, dim: int, field: FieldSpec) -> BraidedObject:
     """The braided object carried by the base symmetry on a ``dim``-space."""
     par = _parities(base, dim)
-    c = ExactMatrix.zeros(field, dim * dim, dim * dim)
-    grid = [list(r) for r in c.data]
+    grid = [[field.zero] * (dim * dim) for _ in range(dim * dim)]
     for i in range(dim):
         for j in range(dim):
             grid[j * dim + i][i * dim + j] = field.element(base.sign(par[i], par[j]))

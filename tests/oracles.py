@@ -8,6 +8,7 @@ matrix and recursion code, so agreement is meaningful.
 from itertools import combinations
 from math import gcd
 
+from braidalg.braided import CheckItem
 from braidalg.matrix import ExactMatrix
 
 
@@ -161,6 +162,101 @@ def exterior_square_table(sign):
     return out
 
 
+def from_dense(field, grid, rows, cols):
+    """An ``ExactMatrix`` holding the nonzero cells of a dense grid exactly
+    as given: no coercion, so ``Fraction(k, 1)`` cells stay ``Fraction``."""
+    return ExactMatrix._raw(field, [{j: x for j, x in enumerate(row) if x != 0} for row in grid],
+                            rows, cols)
+
+
+# -- the dense kernels ExactMatrix used before its storage went sparse ---------
+#
+# Each runs over every cell of the dense view ``data``, zeros included, and
+# hands its grid to ``from_dense``, so a test can compare values, strings and
+# the Python type of every nonzero cell with the sparse kernel it replaced.
+
+
+def dense_add(a, b):
+    norm = a.field.normalize
+    grid = [[norm(x + y) for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)]
+    return from_dense(a.field, grid, a.rows, a.cols)
+
+
+def dense_sub(a, b):
+    norm = a.field.normalize
+    grid = [[norm(x - y) for x, y in zip(ra, rb)] for ra, rb in zip(a.data, b.data)]
+    return from_dense(a.field, grid, a.rows, a.cols)
+
+
+def dense_mul(a, b):
+    norm = a.field.normalize
+    zero = a.field.zero
+    out = [[0] * b.cols for _ in range(a.rows)]
+    bdata = b.data
+    for i, row in enumerate(a.data):
+        oi = out[i]
+        for k, x in enumerate(row):
+            if x == zero:
+                continue
+            for j, y in enumerate(bdata[k]):
+                if y != zero:
+                    oi[j] += x * y
+    grid = [[norm(x) for x in row] for row in out]
+    return from_dense(a.field, grid, a.rows, b.cols)
+
+
+def dense_kron(a, b):
+    norm = a.field.normalize
+    zero = a.field.zero
+    R, C = a.rows * b.rows, a.cols * b.cols
+    out = [[zero] * C for _ in range(R)]
+    for i, row in enumerate(a.data):
+        for j, x in enumerate(row):
+            if x == zero:
+                continue
+            for k, brow in enumerate(b.data):
+                dest = out[i * b.rows + k]
+                base = j * b.cols
+                for l, y in enumerate(brow):
+                    if y != zero:
+                        dest[base + l] = norm(x * y)
+    return from_dense(a.field, out, R, C)
+
+
+def dense_transpose(m):
+    grid = [[m.data[i][j] for i in range(m.rows)] for j in range(m.cols)]
+    return from_dense(m.field, grid, m.cols, m.rows)
+
+
+def dense_whisker(left, X, right):
+    zero = X.field.zero
+    rows = [[x if x != zero else zero for x in row] for row in X.data]
+    cols = X.cols * right
+    width = left * cols
+    grid = []
+    for s in range(left):
+        start = s * cols
+        for row in rows:
+            for t in range(start, start + right):
+                out = [zero] * width
+                out[t:start + cols:right] = row
+                grid.append(out)
+    return from_dense(X.field, grid, left * X.rows * right, width)
+
+
+def dense_compare(name, lhs, rhs):
+    if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
+        return CheckItem(name, False, f"shape {lhs.rows}x{lhs.cols} vs {rhs.rows}x{rhs.cols}")
+    ldata, rdata = lhs.data, rhs.data
+    for i in range(lhs.rows):
+        for j in range(lhs.cols):
+            if ldata[i][j] != rdata[i][j]:
+                a = lhs.field.format(ldata[i][j])
+                b = rhs.field.format(rdata[i][j])
+                return CheckItem(name, False, f"first difference at ({i},{j}): {a} != {b}")
+    return CheckItem(name, True)
+
+
 def dense_rref(self):
     """Reduced row echelon form and the pivot columns, on the dense grid.
 
@@ -196,4 +292,4 @@ def dense_rref(self):
                 grid[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(grid[i], row_r)]
         pivots.append(c)
         r += 1
-    return ExactMatrix._raw(f, grid, self.rows, self.cols), tuple(pivots)
+    return from_dense(f, grid, self.rows, self.cols), tuple(pivots)

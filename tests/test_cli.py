@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -209,3 +210,88 @@ class TestJCheckAndAdjunction:
         target = files["dir"] / "report.json"
         _, out = run(capsys, "verify", "--input", files["flip"], "--out", str(target))
         assert target.read_text() == out
+
+
+class Reached(Exception):
+    """Raised by a stub standing in for the first real work of a command."""
+
+
+def _stop(*args, **kwargs):
+    raise Reached
+
+
+def write(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestSizeBound:
+    """``dim ** degree`` above ``MAX_TENSOR_DIM`` is refused with exit 2
+    before any work starts; at the bound the command goes ahead.  The work
+    itself is stubbed out, so each case runs in milliseconds."""
+
+    # (dim, degree) at the bound and one degree step above it
+    AT, ABOVE = (2, 10), (2, 11)
+
+    def commands(self, files, tmp_path, dim, degree):
+        braid = write(tmp_path / f"braid{dim}.json",
+                      braiding_to_json(flip_braiding(RATIONALS, dim)))
+        dump = write(tmp_path / f"dump{degree}.json", {
+            **braiding_to_json(flip_braiding(RATIONALS, dim)), "degree": degree, "blocks": {}})
+        n = str(degree)
+        return {
+            "build": (["build", "--input", braid, "--degree", n], "check_yang_baxter"),
+            "verify": (["verify", "--input", dump], "build_truncated"),
+            "primitives": (["primitives", "--input", braid, "--degree", n], "build_truncated"),
+            "jcheck": (["jcheck", "--base", "flip", "--dim", str(dim), "--degree", n],
+                       "check_J_compatibility"),
+            "adjunction-check": (["adjunction-check", "--braiding", braid, "--bialgebra",
+                                  files["ext"], "--degree", n], "check_braided_bialgebra"),
+            "braidrep": (["braidrep", "--input", braid, "--m", "1", "--n", str(degree - 1)],
+                         "check_yang_baxter"),
+        }
+
+    @pytest.mark.parametrize("command", ["build", "verify", "primitives", "jcheck",
+                                         "adjunction-check", "braidrep"])
+    def test_at_and_above_the_bound(self, files, tmp_path, capsys, monkeypatch, command):
+        from braidalg import cli
+
+        assert cli.MAX_TENSOR_DIM == self.AT[0] ** self.AT[1]
+        argv, work = self.commands(files, tmp_path, *self.AT)[command]
+        monkeypatch.setattr(cli, work, _stop)
+        with pytest.raises(Reached):
+            main(argv)
+        argv, _ = self.commands(files, tmp_path, *self.ABOVE)[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "size bound" in captured.err
+
+    def test_one_dimensional_inputs_bound_the_degree(self, tmp_path, capsys, monkeypatch):
+        from braidalg import cli
+
+        line = write(tmp_path / "line.json", braiding_to_json(scalar_braiding(F5, 2)))
+        monkeypatch.setattr(cli, "build_truncated", _stop)
+        with pytest.raises(Reached):
+            main(["primitives", "--input", line, "--degree", "10"])
+        assert main(["primitives", "--input", line, "--degree", "11"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["primitives", "--input", "{flip}", "--degree", "40"],
+        ["jcheck", "--base", "flip", "--dim", "9", "--degree", "12"],
+        ["jcheck", "--base", "flip", "--dim", "100000", "--degree", "2"],
+        ["build", "--input", "{flip}", "--degree", str(10 ** 12)],
+        ["braidrep", "--input", "{flip}", "--m", "0", "--n", str(10 ** 12)],
+    ], ids=["primitives-40", "jcheck-9^12", "jcheck-wide", "build-huge", "braidrep-huge"])
+    def test_huge_requests_exit_at_once(self, files, capsys, argv):
+        argv = [a.format(**files) for a in argv]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+
+    def test_jcheck_dimension_must_be_positive(self, capsys):
+        for dim in ("0", "-3"):
+            assert main(["jcheck", "--base", "flip", "--dim", dim, "--degree", "2"]) == 2
+        assert "'--dim'" in capsys.readouterr().err

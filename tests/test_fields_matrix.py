@@ -17,10 +17,22 @@ from braidalg import (
     whisker,
 )
 from braidalg.fields import MR_BOUND, FieldSpec, is_prime
-from braidalg.matrix import stack_rows
+from braidalg.matrix import hstack, stack_rows
 from braidalg.gallery import flip_braiding
 
-from oracles import dense_rref, reduced
+from braidalg.braided import compare
+from oracles import (
+    dense_add,
+    dense_compare,
+    dense_kron,
+    dense_mul,
+    dense_rref,
+    dense_sub,
+    dense_transpose,
+    dense_whisker,
+    from_dense,
+    reduced,
+)
 
 F5 = prime_field(5)
 
@@ -324,7 +336,7 @@ def elimination_inputs(draw):
         # the raw constructor keeps them that way
         held = [[Fraction(x) if isinstance(x, int) and draw(st.booleans()) else x
                  for x in row] for row in m.data]
-        m = ExactMatrix._raw(field, held, rows, cols)
+        m = from_dense(field, held, rows, cols)
     k = draw(st.integers(0, 2))
     consistent = m * ExactMatrix(field, grid(cols, k), rows=cols, cols=k)
     arbitrary = ExactMatrix(field, grid(rows, k), rows=rows, cols=k)
@@ -363,10 +375,100 @@ class TestSparseRref:
 
     def test_unreduced_integral_cells(self):
         # integral cells held as Fraction(k, 1), as arithmetic over Q leaves them
-        m = ExactMatrix._raw(RATIONALS, [[Fraction(2), Fraction(4), 1], [Fraction(3), 6, Fraction(0)]], 2, 3)
+        m = from_dense(RATIONALS, [[Fraction(2), Fraction(4), 1], [Fraction(3), 6, Fraction(0)]], 2, 3)
         R, pivots = m.rref()
         assert pivots == (0, 2)
         assert R.to_strings() == [["1", "2", "0"], ["0", "0", "1"]]
+
+
+def nonzero_types(m):
+    return {(i, j): type(x) for i, row in enumerate(m.data) for j, x in enumerate(row) if x != 0}
+
+
+def assert_same(got, expected):
+    """Equal as matrices, as strings, and in the Python type of every
+    nonzero cell."""
+    assert (got.rows, got.cols) == (expected.rows, expected.cols)
+    assert got == expected
+    assert got.to_strings() == expected.to_strings()
+    assert nonzero_types(got) == nonzero_types(expected)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Matrices over one field, possibly with no rows or no columns: ``a``
+    and ``a2`` of one shape, ``b`` composable after ``a``.  Over Q the cells
+    mix integers, non-integral fractions and integral ``Fraction(k, 1)``
+    values, which is how arithmetic leaves them."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    if field.p is None:
+        scalar = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(Fraction),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    else:
+        scalar = st.integers(0, field.p - 1)
+    cell = st.one_of(st.just(0), scalar)
+
+    def matrix(rows, cols):
+        grid = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+        return from_dense(field, grid, rows, cols)
+
+    rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
+    return matrix(rows, inner), matrix(rows, inner), matrix(inner, cols)
+
+
+class TestSparseKernels:
+    """Each sparse kernel against the dense kernel it replaced."""
+
+    @given(kernel_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_oracles(self, inputs):
+        a, a2, b = inputs
+        assert_same(a + a2, dense_add(a, a2))
+        assert_same(a - a2, dense_sub(a, a2))
+        assert_same(a * b, dense_mul(a, b))
+        assert_same(a.kron(b), dense_kron(a, b))
+        assert_same(a.transpose(), dense_transpose(a))
+        for left in range(3):
+            for right in range(3):
+                assert_same(whisker(left, a, right), dense_whisker(left, a, right))
+        others = [a, a2, b]
+        if a.rows == a.cols:
+            others.append(a + ExactMatrix.identity(a.field, a.rows))
+        for other in others:
+            assert compare("c", a, other) == dense_compare("c", a, other)
+
+    @given(kernel_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_cancellation_leaves_no_stored_zero(self, inputs):
+        a, _, b = inputs
+        zero = ExactMatrix.zeros(a.field, a.rows, a.cols)
+        for out in (a - a, a + (-a), a + a.scale(-1)):
+            assert out == zero and out.is_zero()
+            assert_same(out, dense_sub(a, a))
+        # [a | a] times [b ; -b] sums a*b - a*b, term by term, to zero
+        doubled = hstack(a, a)
+        opposed = stack_rows([b, -b], b.field, b.cols)
+        product = doubled * opposed
+        assert product == ExactMatrix.zeros(a.field, a.rows, b.cols)
+        assert product.is_zero()
+        assert_same(product, dense_mul(doubled, opposed))
+        assert all(x != 0 for m in (a + a, a * b, product) for row in m.nonzeros
+                   for x in row.values())
+
+    def test_first_difference_in_row_major_order(self):
+        a = mat(RATIONALS, [[0, 1, 0], [2, 0, 0]])
+        b = mat(RATIONALS, [[0, 1, 0], [0, 0, "1/2"]])
+        assert compare("x", a, b).detail == "first difference at (1,0): 2 != 0"
+        assert compare("x", b, a).detail == dense_compare("x", b, a).detail
+
+    def test_constructor_refuses_bad_cells(self):
+        for field in (RATIONALS, F5):
+            for bad in (True, False, "x", None):
+                with pytest.raises((TypeError, ValueError)):
+                    mat(field, [["0", bad]])
+        assert mat(F5, [["0", "5", 0]]).is_zero()
+        assert mat(RATIONALS, [["0", "0/3", 0]]).is_zero()
 
 
 class TestSerialization:
