@@ -1,9 +1,12 @@
 """Exact scalars over the rationals or a prime field.
 
-Scalars are plain Python values: ``fractions.Fraction`` (or ``int``) over the
-rationals, ``int`` residues in ``[0, p)`` over a prime field.  A ``FieldSpec``
-carries the element operations so the matrix layer stays field-generic.
-There is no floating point anywhere; equality is exact.
+Scalars are plain Python values in one canonical form.  Over the rationals
+an integral value is an ``int`` and any other is a ``fractions.Fraction``
+with denominator > 1; over a prime field every value is an ``int`` residue
+in ``[0, p)``.  ``element`` and every arithmetic op return that form, so a
+cell's type follows from its value, never from how it was computed.  A
+``FieldSpec`` carries the element operations so the matrix layer stays
+field-generic.  There is no floating point anywhere; equality is exact.
 
 Serialization: a rational prints as ``"a/b"`` (reduced, ``b > 0``) or ``"a"``;
 a prime-field element prints as its residue string.
@@ -113,9 +116,13 @@ class FieldSpec:
         return x
 
     def normalize(self, x):
-        """Reduce a raw arithmetic result to canonical form (mod p if prime)."""
+        """Reduce a raw arithmetic result to canonical form: mod ``p`` over a
+        prime field, and over Q an integral ``Fraction`` becomes its ``int``
+        numerator, so no cell is ever held as ``Fraction(k, 1)``."""
         if self.kind == PRIME_KIND:
             return x % self.p
+        if type(x) is Fraction and x.denominator == 1:
+            return x.numerator
         return x
 
     def neg(self, x):

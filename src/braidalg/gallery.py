@@ -34,7 +34,7 @@ def diagonal_twist_braiding(field: FieldSpec, coeffs) -> BraidedObject:
     ``e_i ⊗ e_j`` to ``q_ij q_ji e_i ⊗ e_j``.
     """
     dim = len(coeffs)
-    grid = [[field.zero] * (dim * dim) for _ in range(dim * dim)]
+    rows = [{} for _ in range(dim * dim)]
     for i in range(dim):
         row = coeffs[i]
         if len(row) != dim:
@@ -43,8 +43,8 @@ def diagonal_twist_braiding(field: FieldSpec, coeffs) -> BraidedObject:
             q = field.element(row[j])
             if q == field.zero:
                 raise NotInvertible("twist coefficients must be nonzero")
-            grid[j * dim + i][i * dim + j] = q
-    c = ExactMatrix(field, grid)
+            rows[j * dim + i][i * dim + j] = q
+    c = ExactMatrix._raw(field, rows, dim * dim, dim * dim)
     return BraidedObject.from_c(field, dim, c)
 
 

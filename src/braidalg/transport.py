@@ -196,11 +196,11 @@ def _parities(base: BaseBraiding, dim: int) -> list[int]:
 def J_braiding(base: BaseBraiding, dim: int, field: FieldSpec) -> BraidedObject:
     """The braided object carried by the base symmetry on a ``dim``-space."""
     par = _parities(base, dim)
-    grid = [[field.zero] * (dim * dim) for _ in range(dim * dim)]
+    rows = [{} for _ in range(dim * dim)]
     for i in range(dim):
         for j in range(dim):
-            grid[j * dim + i][i * dim + j] = field.element(base.sign(par[i], par[j]))
-    c = ExactMatrix(field, grid)
+            rows[j * dim + i][i * dim + j] = field.element(base.sign(par[i], par[j]))
+    c = ExactMatrix._raw(field, rows, dim * dim, dim * dim)
     return BraidedObject.from_c(field, dim, c)
 
 
@@ -209,15 +209,15 @@ def direct_power_braiding(base: BaseBraiding, dim: int, field: FieldSpec,
     """The base symmetry evaluated directly on ``V^{⊗m} ⊗ V^{⊗n}``: the
     (signed) block transposition, computed without any recursion."""
     par = _parities(base, dim)
-    rows = dim ** (m + n)
-    out = [[field.zero] * rows for _ in range(rows)]
+    size = dim ** (m + n)
+    out = [None] * size
     for I in range(dim ** m):
         pI = _tensor_parity(I, m, dim, par)
         for J in range(dim ** n):
             pJ = _tensor_parity(J, n, dim, par)
             sign = -1 if (base.kind == SUPER and pI == 1 and pJ == 1) else 1
-            out[J * (dim ** m) + I][I * (dim ** n) + J] = field.element(sign)
-    return ExactMatrix(field, out, rows=rows, cols=rows)
+            out[J * (dim ** m) + I] = {I * (dim ** n) + J: field.element(sign)}
+    return ExactMatrix._raw(field, out, size, size)
 
 
 def _tensor_parity(flat: int, length: int, dim: int, par: list[int]) -> int:
@@ -246,10 +246,10 @@ def classical_unshuffle_block(base: BaseBraiding, dim: int, field: FieldSpec,
     """
     from itertools import combinations
 
-    rows = dim ** n
-    out = [[0] * rows for _ in range(rows)]
+    size = dim ** n
+    out = [{} for _ in range(size)]
     par = _parities(base, dim)
-    for col in range(rows):
+    for col in range(size):
         digits = _digits(col, n, dim)
         for subset in combinations(range(n), k):
             in_subset = [False] * n
@@ -266,9 +266,10 @@ def classical_unshuffle_block(base: BaseBraiding, dim: int, field: FieldSpec,
             row = 0
             for digit in front + back:
                 row = row * dim + digit
-            out[row][col] += sign
-    grid = [[field.element(x) for x in row] for row in out]
-    return ExactMatrix(field, grid, rows=rows, cols=rows)
+            out[row][col] = out[row].get(col, 0) + sign
+    # super signs can cancel, and a sum can vanish mod p
+    cells = ({c: y for c, x in row.items() if (y := field.element(x))} for row in out)
+    return ExactMatrix._raw(field, cells, size, size)
 
 
 def check_J_compatibility(base: BaseBraiding, dim: int, N: int,

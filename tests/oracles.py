@@ -5,6 +5,7 @@ Fractions) and explicit index manipulation, independent of the package's
 matrix and recursion code, so agreement is meaningful.
 """
 
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -160,6 +161,21 @@ def exterior_square_table(sign):
             coeff = sign if (b and c) else 1
             out[index[(a + c, b + d)]][i * 4 + j] = coeff
     return out
+
+
+def noncanonical_cells(m):
+    """The stored cells ``(i, j, x)`` of ``m`` outside canonical form: over Q
+    an ``int``, or a ``Fraction`` with denominator > 1; over F_p an ``int``
+    in ``[1, p)``.  Empty for every matrix the package builds."""
+    p = m.field.p
+
+    def canonical(x):
+        if p is not None:
+            return type(x) is int and 1 <= x < p
+        return (type(x) is int and x != 0) or (type(x) is Fraction and x.denominator > 1)
+
+    return [(i, j, x) for i, row in enumerate(m.nonzeros) for j, x in row.items()
+            if not canonical(x)]
 
 
 def from_dense(field, grid, rows, cols):

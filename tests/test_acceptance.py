@@ -254,3 +254,12 @@ def test_criterion_11_primitive_frontier():
         for d, N in ((2, 9), (3, 6)):
             T = build_truncated(flip_braiding(RATIONALS, d), N)
             assert tensor_primitive_dims(T) == [witt_dimension(d, n) for n in range(1, N + 1)]
+
+
+def test_criterion_12_primitive_frontier_one_degree_up():
+    # criterion 11 one degree further in each dimension: degree 10 at d=2
+    # alone eliminates a 9216 x 1024 stack over Q
+    with budget("12 primitive frontier", 30.0):
+        for d, N in ((2, 10), (3, 7)):
+            T = build_truncated(flip_braiding(RATIONALS, d), N)
+            assert tensor_primitive_dims(T) == [witt_dimension(d, n) for n in range(1, N + 1)]

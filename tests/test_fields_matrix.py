@@ -31,6 +31,7 @@ from oracles import (
     dense_transpose,
     dense_whisker,
     from_dense,
+    noncanonical_cells,
     reduced,
 )
 
@@ -168,8 +169,8 @@ class TestWhisker:
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_matches_identity_krons(self, data):
-        # the sum of two draws yields unreduced cells such as Fraction(1, 1)
-        # and Fraction(0, 1), whose Python type must survive as kron leaves it
+        # the sum of two draws holds cells made by arithmetic, which whisker
+        # must copy with the Python type kron gives them
         field = data.draw(st.sampled_from([RATIONALS, F5]))
         rows, cols = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
         scalar = st.fractions(min_value=-2, max_value=2, max_denominator=3)
@@ -332,8 +333,8 @@ def elimination_inputs(draw):
         last = first.scale(a) + second.scale(b)
         m = ExactMatrix(field, list(m.data[:-1]) + [last.data[0]], rows=rows, cols=cols)
     if field.p is None:
-        # arithmetic can leave integral cells held as Fraction(k, 1); only
-        # the raw constructor keeps them that way
+        # arithmetic never stores an integral cell as Fraction(k, 1), but the
+        # raw constructor can, and elimination must read it as the int it equals
         held = [[Fraction(x) if isinstance(x, int) and draw(st.booleans()) else x
                  for x in row] for row in m.data]
         m = from_dense(field, held, rows, cols)
@@ -374,7 +375,7 @@ class TestSparseRref:
         assert got == expected
 
     def test_unreduced_integral_cells(self):
-        # integral cells held as Fraction(k, 1), as arithmetic over Q leaves them
+        # integral cells held as Fraction(k, 1), which only the raw constructor stores
         m = from_dense(RATIONALS, [[Fraction(2), Fraction(4), 1], [Fraction(3), 6, Fraction(0)]], 2, 3)
         R, pivots = m.rref()
         assert pivots == (0, 2)
@@ -387,22 +388,23 @@ def nonzero_types(m):
 
 def assert_same(got, expected):
     """Equal as matrices, as strings, and in the Python type of every
-    nonzero cell."""
+    nonzero cell, which is canonical for the field."""
     assert (got.rows, got.cols) == (expected.rows, expected.cols)
     assert got == expected
     assert got.to_strings() == expected.to_strings()
     assert nonzero_types(got) == nonzero_types(expected)
+    assert noncanonical_cells(got) == []
 
 
 @st.composite
 def kernel_inputs(draw):
     """Matrices over one field, possibly with no rows or no columns: ``a``
-    and ``a2`` of one shape, ``b`` composable after ``a``.  Over Q the cells
-    mix integers, non-integral fractions and integral ``Fraction(k, 1)``
-    values, which is how arithmetic leaves them."""
+    and ``a2`` of one shape, ``b`` composable after ``a``.  The constructor
+    makes every cell canonical: over Q integers and non-integral fractions,
+    the drawn integral ``Fraction`` values held as ``int``."""
     field = draw(st.sampled_from(ORACLE_FIELDS))
     if field.p is None:
-        scalar = st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(Fraction),
+        scalar = st.one_of(st.integers(-3, 3),
                            st.fractions(min_value=-3, max_value=3, max_denominator=4))
     else:
         scalar = st.integers(0, field.p - 1)
@@ -411,7 +413,7 @@ def kernel_inputs(draw):
     def matrix(rows, cols):
         grid = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
                              min_size=rows, max_size=rows))
-        return from_dense(field, grid, rows, cols)
+        return ExactMatrix(field, grid, rows=rows, cols=cols)
 
     rows, inner, cols = (draw(st.integers(0, 4)) for _ in range(3))
     return matrix(rows, inner), matrix(rows, inner), matrix(inner, cols)
