@@ -5,6 +5,11 @@ basis, so the unit object is the base field itself and all associativity and
 unit constraints are identity matrices.  Each axiom becomes a plain matrix
 identity and every checker reports, per axiom, either a pass or the first
 violating entry.
+
+Each braided law is stated once, as a function returning the two sides of
+its equation: ``hexagon``, ``braids_past_product``, ``coproduct_braids`` and
+``braided_map``.  The checkers here and in ``braidrep``, ``tensoralg``,
+``primitives`` and ``transport`` call them rather than restate a law.
 """
 
 from __future__ import annotations
@@ -142,6 +147,53 @@ class ProductAlgebraSpec:
         return self.c_matrices[(i, j)]
 
 
+# -- braided laws -------------------------------------------------------------
+
+
+def hexagon(lm: ExactMatrix, ln: ExactMatrix, mn: ExactMatrix,
+            dl: int, dm: int, dn: int) -> tuple[ExactMatrix, ExactMatrix]:
+    """The two sides of the hexagon for exchange blocks ``c^{l,m}, c^{l,n}, c^{m,n}``
+    between spaces of dimensions ``dl, dm, dn`` (Yang-Baxter when all are ``c``):
+    ``(1_n⊗c^{l,m})(c^{l,n}⊗1_m)(1_l⊗c^{m,n}) = (c^{m,n}⊗1_l)(1_m⊗c^{l,n})(c^{l,m}⊗1_n)``."""
+    lhs = whisker(dn, lm, 1) * whisker(1, ln, dm) * whisker(dl, mn, 1)
+    rhs = whisker(1, mn, dl) * whisker(dm, ln, 1) * whisker(1, lm, dn)
+    return lhs, rhs
+
+
+def braids_past_product(c: ExactMatrix, Ai: AlgebraData, Aj: AlgebraData):
+    """The two sides of each law by which ``c: A_i⊗A_j -> A_j⊗A_i`` passes the
+    products and units, lazily: ``c(m⊗A_j) = (A_j⊗m)(c⊗A_i)(A_i⊗c)``,
+    ``c(A_i⊗m) = (m⊗A_i)(A_j⊗c)(c⊗A_j)``, ``c(u⊗A_j) = A_j⊗u``, ``c(A_i⊗u) = u⊗A_i``
+    (the unit constraints are strict, so the unit laws lose their ``l, r``)."""
+    di, dj = Ai.dim, Aj.dim
+    yield c * whisker(1, Ai.m, dj), whisker(dj, Ai.m, 1) * whisker(1, c, di) * whisker(di, c, 1)
+    yield c * whisker(di, Aj.m, 1), whisker(1, Aj.m, di) * whisker(dj, c, 1) * whisker(1, c, dj)
+    yield c * whisker(1, Ai.u, dj), whisker(dj, Ai.u, 1)
+    yield c * whisker(di, Aj.u, 1), whisker(1, Aj.u, di)
+
+
+def mirror(left: int, X: ExactMatrix, right: int) -> ExactMatrix:
+    """``whisker`` with every tensor product read right to left: ``1_right ⊗ X ⊗ 1_left``."""
+    return whisker(right, X, left)
+
+
+def coproduct_braids(pad, delta: ExactMatrix, c: ExactMatrix, c1: ExactMatrix,
+                     c2: ExactMatrix, d: int, d1: int, d2: int) -> tuple[ExactMatrix, ExactMatrix]:
+    """The two sides of ``(Δ⊗1_M) c = (1_{N1}⊗c2)(c1⊗1_{N2})(1_M⊗Δ)`` for a coproduct
+    ``Δ: N -> N1⊗N2``, ``c = c^{M,N}``, ``c1 = c^{M,N1}``, ``c2 = c^{M,N2}`` and
+    ``d, d1, d2`` the dimensions of ``M, N1, N2``.  ``pad`` is ``whisker`` for this
+    law and ``mirror`` for its mirror image, which reads every ``⊗`` right to left."""
+    lhs = pad(1, delta, d) * c
+    rhs = pad(d1, c2, 1) * pad(1, c1, d2) * pad(d, delta, 1)
+    return lhs, rhs
+
+
+def braided_map(ff: ExactMatrix, c_source: ExactMatrix,
+                c_target: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """The two sides of ``c_W (f⊗f) = (f⊗f) c_V``, given ``ff = f⊗f``."""
+    return c_target * ff, ff * c_source
+
+
 # -- checkers ---------------------------------------------------------------
 
 
@@ -151,9 +203,8 @@ def _shape_gate(c: ExactMatrix, dim: int, what: str) -> None:
 
 
 def yang_baxter_holds(c: ExactMatrix, dim: int) -> CheckItem:
-    cV = whisker(1, c, dim)
-    Vc = whisker(dim, c, 1)
-    return compare("yang_baxter", cV * Vc * cV, Vc * cV * Vc)
+    lhs, rhs = hexagon(c, c, c, dim, dim, dim)
+    return compare("yang_baxter", rhs, lhs)
 
 
 def check_yang_baxter(V: BraidedObject) -> AxiomReport:
@@ -171,8 +222,8 @@ def check_braided_morphism(f: ExactMatrix, V: BraidedObject, W: BraidedObject) -
     """True iff ``c_W (f⊗f) = (f⊗f) c_V``."""
     if f.rows != W.dim or f.cols != V.dim:
         raise ShapeError(f"morphism must be {W.dim}x{V.dim}, got {f.rows}x{f.cols}")
-    ff = f.kron(f)
-    return W.c * ff == ff * V.c
+    lhs, rhs = braided_map(f.kron(f), V.c, W.c)
+    return lhs == rhs
 
 
 def check_algebra(A: AlgebraData) -> AxiomReport:
@@ -196,23 +247,12 @@ def check_coalgebra(field: FieldSpec, dim: int, delta: ExactMatrix, eps: ExactMa
 
 
 def check_braided_algebra(A: AlgebraData, c: ExactMatrix) -> AxiomReport:
-    """Compatibility of product and unit with the braiding (with strict
-    unit constraints, so the unit laws lose their ``l, r`` factors)."""
+    """Compatibility of product and unit with the braiding."""
     _shape_gate(c, A.dim, "braiding")
     report = AxiomReport()
-    d = A.dim
-    report.add(compare(
-        "product_braids_left",  # c(m⊗A) = (A⊗m)(c⊗A)(A⊗c)
-        c * whisker(1, A.m, d),
-        whisker(d, A.m, 1) * whisker(1, c, d) * whisker(d, c, 1),
-    ))
-    report.add(compare(
-        "product_braids_right",  # c(A⊗m) = (m⊗A)(A⊗c)(c⊗A)
-        c * whisker(d, A.m, 1),
-        whisker(1, A.m, d) * whisker(d, c, 1) * whisker(1, c, d),
-    ))
-    report.add(compare("unit_braids_left", c * whisker(1, A.u, d), whisker(d, A.u, 1)))
-    report.add(compare("unit_braids_right", c * whisker(d, A.u, 1), whisker(1, A.u, d)))
+    names = ("product_braids_left", "product_braids_right", "unit_braids_left", "unit_braids_right")
+    for name, (lhs, rhs) in zip(names, braids_past_product(c, A, A)):
+        report.add(compare(name, lhs, rhs))
     return report
 
 
@@ -221,16 +261,8 @@ def check_braided_coalgebra(field: FieldSpec, dim: int, delta: ExactMatrix,
     """Compatibility of coproduct and counit with the braiding."""
     _shape_gate(c, dim, "braiding")
     report = AxiomReport()
-    report.add(compare(
-        "coproduct_braids_left",  # (Δ⊗C)c = (C⊗c)(c⊗C)(C⊗Δ)
-        whisker(1, delta, dim) * c,
-        whisker(dim, c, 1) * whisker(1, c, dim) * whisker(dim, delta, 1),
-    ))
-    report.add(compare(
-        "coproduct_braids_right",  # (C⊗Δ)c = (c⊗C)(C⊗c)(Δ⊗C)
-        whisker(dim, delta, 1) * c,
-        whisker(1, c, dim) * whisker(dim, c, 1) * whisker(1, delta, dim),
-    ))
+    for name, pad in (("coproduct_braids_left", whisker), ("coproduct_braids_right", mirror)):
+        report.add(compare(name, *coproduct_braids(pad, delta, c, c, c, dim, dim, dim)))
     report.add(compare("counit_braids_left", whisker(1, eps, dim) * c, whisker(dim, eps, 1)))
     report.add(compare("counit_braids_right", whisker(dim, eps, 1) * c, whisker(1, eps, dim)))
     return report
@@ -277,27 +309,17 @@ def verify_product_spec(spec: ProductAlgebraSpec) -> None:
             cij.inverse()
         except NotInvertible:
             raise SpecViolation(f"c[{i},{j}] is not invertible")
+    laws = ("c21", "c22", "c31 (left unit)", "c31 (right unit)")
     for i in (1, 2):
         for j in (1, 2):
             Ai, Aj = spec.algebra(i), spec.algebra(j)
-            di, dj = Ai.dim, Aj.dim
             cij = spec.c(i, j)
-            lhs = cij * whisker(1, Ai.m, dj)
-            rhs = whisker(dj, Ai.m, 1) * whisker(1, cij, di) * whisker(di, cij, 1)
-            if lhs != rhs:
-                raise SpecViolation(f"c21 fails for (i,j)=({i},{j})")
-            lhs = cij * whisker(di, Aj.m, 1)
-            rhs = whisker(1, Aj.m, di) * whisker(dj, cij, 1) * whisker(1, cij, dj)
-            if lhs != rhs:
-                raise SpecViolation(f"c22 fails for (i,j)=({i},{j})")
-            if cij * whisker(1, Ai.u, dj) != whisker(dj, Ai.u, 1):
-                raise SpecViolation(f"c31 (left unit) fails for (i,j)=({i},{j})")
-            if cij * whisker(di, Aj.u, 1) != whisker(1, Aj.u, di):
-                raise SpecViolation(f"c31 (right unit) fails for (i,j)=({i},{j})")
+            for law, (lhs, rhs) in zip(laws, braids_past_product(cij, Ai, Aj)):
+                if lhs != rhs:
+                    raise SpecViolation(f"{law} fails for (i,j)=({i},{j})")
             for k in (1, 2):
-                dk = spec.algebra(k).dim
-                lhs = whisker(dk, cij, 1) * whisker(1, spec.c(i, k), dj) * whisker(di, spec.c(j, k), 1)
-                rhs = whisker(1, spec.c(j, k), di) * whisker(dj, spec.c(i, k), 1) * whisker(1, cij, dk)
+                lhs, rhs = hexagon(cij, spec.c(i, k), spec.c(j, k), Ai.dim, Aj.dim,
+                                   spec.algebra(k).dim)
                 if lhs != rhs:
                     raise SpecViolation(f"cij fails for (i,j,k)=({i},{j},{k})")
 

@@ -13,7 +13,7 @@ executable, and it is asserted wholesale in the test suite.
 
 from __future__ import annotations
 
-from .braided import BraidedObject
+from .braided import BraidedObject, hexagon
 from .errors import BadDegree
 from .matrix import ExactMatrix, whisker
 
@@ -104,8 +104,6 @@ def check_hexagon(l: int, m: int, n: int, V: BraidedObject,
     """
     if cache is None:
         cache = BraidRepCache(V)
-    dl, dm, dn = V.dim ** l, V.dim ** m, V.dim ** n
-    lm, ln, mn = cache.block(l, m), cache.block(l, n), cache.block(m, n)
-    lhs = whisker(dn, lm, 1) * whisker(1, ln, dm) * whisker(dl, mn, 1)
-    rhs = whisker(1, mn, dl) * whisker(dm, ln, 1) * whisker(1, lm, dn)
+    lhs, rhs = hexagon(cache.block(l, m), cache.block(l, n), cache.block(m, n),
+                       V.dim ** l, V.dim ** m, V.dim ** n)
     return lhs == rhs

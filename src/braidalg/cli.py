@@ -146,28 +146,11 @@ def _verify_build_dump(obj: dict, report: dict) -> AxiomReport:
         raise SchemaError("'blocks' must be an object")
     T = build_truncated(V, degree)
     rep = AxiomReport()
-    d = V.dim
-    for n in range(degree + 1):
-        for k in range(n + 1):
-            key = f"delta/{k}_{n}"
-            if key not in blocks:
-                raise SchemaError(f"missing key 'blocks.{key}'")
-            stored = matrix_from_json(V.field, blocks[key], key, rows=d ** n, cols=d ** n)
-            rep.add(compare(f"roundtrip[{key}]", stored, T.coproduct_block(k, n)))
-    for m in range(degree + 1):
-        for n in range(degree + 1 - m):
-            key = f"cT/{m}_{n}"
-            if key not in blocks:
-                raise SchemaError(f"missing key 'blocks.{key}'")
-            stored = matrix_from_json(V.field, blocks[key], key,
-                                      rows=d ** (m + n), cols=d ** (m + n))
-            rep.add(compare(f"roundtrip[{key}]", stored, T.braiding_block(m, n)))
-    for n in range(degree + 1):
-        key = f"eps/{n}"
+    for key, block in T.named_blocks():
         if key not in blocks:
             raise SchemaError(f"missing key 'blocks.{key}'")
-        stored = matrix_from_json(V.field, blocks[key], key, rows=1, cols=d ** n)
-        rep.add(compare(f"roundtrip[{key}]", stored, T.counit_block(n)))
+        stored = matrix_from_json(V.field, blocks[key], key, rows=block.rows, cols=block.cols)
+        rep.add(compare(f"roundtrip[{key}]", stored, block))
     report["subject"] = "build"
     rep.extend(check_truncated_axioms(T))
     return rep
@@ -187,15 +170,7 @@ def cmd_build(args) -> int:
         _emit(report, args.out)
         return 1
     T = build_truncated(V, args.degree)
-    blocks: dict[str, list[list[str]]] = {}
-    for n in range(args.degree + 1):
-        for k in range(n + 1):
-            blocks[f"delta/{k}_{n}"] = matrix_to_json(T.coproduct_block(k, n))
-    for m in range(args.degree + 1):
-        for n in range(args.degree + 1 - m):
-            blocks[f"cT/{m}_{n}"] = matrix_to_json(T.braiding_block(m, n))
-    for n in range(args.degree + 1):
-        blocks[f"eps/{n}"] = matrix_to_json(T.counit_block(n))
+    blocks = {key: matrix_to_json(block) for key, block in T.named_blocks()}
     dump = {
         "tool": "braidalg",
         "version": __version__,

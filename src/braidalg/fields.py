@@ -147,9 +147,6 @@ class FieldSpec:
             raise NotInvertible("0 has no inverse")
         return self.element(Fraction(1, 1) / x)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def format(self, x) -> str:
         return str(x)
 

@@ -109,11 +109,3 @@ def braiding_gallery(max_dim: int = 2) -> list[tuple[str, BraidedObject]]:
         out.append((f"scalar_q{q}_Q", scalar_braiding(RATIONALS, q)))
         out.append((f"scalar_q{q}_F5", scalar_braiding(f5, q)))
     return out
-
-
-def bialgebra_gallery(field: FieldSpec | None = None) -> list[tuple[str, BialgebraData]]:
-    field = field or RATIONALS
-    return [
-        ("exterior_line", exterior_line(field)),
-        ("group_algebra_z2", group_algebra_z2(field)),
-    ]

@@ -92,10 +92,6 @@ class ExactMatrix:
     def column(cls, field: FieldSpec, values) -> "ExactMatrix":
         return cls(field, [[v] for v in values], cols=1)
 
-    @classmethod
-    def from_strings(cls, field: FieldSpec, rows, cols: int | None = None) -> "ExactMatrix":
-        return cls(field, rows, cols=cols)
-
     # -- basics ----------------------------------------------------------
 
     @property

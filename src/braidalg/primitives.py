@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .braided import (
     BialgebraData,
     BraidedObject,
+    braided_map,
     check_braided_bialgebra,
     check_yang_baxter,
 )
@@ -113,7 +114,8 @@ def check_bialgebra_morphism(f: ExactMatrix, B: BialgebraData, B2: BialgebraData
         raise NotAMorphism("not comultiplicative")
     if B2.eps * f != B.eps:
         raise NotAMorphism("not counital")
-    if B2.c * ff != ff * B.c:
+    lhs, rhs = braided_map(ff, B.c, B2.c)
+    if lhs != rhs:
         raise NotAMorphism("not braided")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braided import AxiomReport, BraidedObject, compare
+from .braided import AxiomReport, BraidedObject, compare, coproduct_braids, hexagon, mirror
 from .braidrep import BraidRepCache
 from .errors import BadDegree, BadTruncation, TruncationOverflow
 from .matrix import ExactMatrix, whisker
@@ -60,6 +60,18 @@ class TruncatedTensorBialgebra:
         self._degree_gate(m)
         self._degree_gate(n)
         return self.braid.block(m, n)
+
+    def named_blocks(self):
+        """``(key, block)`` for every structure block a build dump stores, in
+        dump order: ``delta/{k}_{n}``, then ``cT/{m}_{n}``, then ``eps/{n}``."""
+        for n in range(self.N + 1):
+            for k in range(n + 1):
+                yield f"delta/{k}_{n}", self.coproduct_block(k, n)
+        for m in range(self.N + 1):
+            for n in range(self.N + 1 - m):
+                yield f"cT/{m}_{n}", self.braiding_block(m, n)
+        for n in range(self.N + 1):
+            yield f"eps/{n}", self.counit_block(n)
 
     def multiply(self, w1: ExactMatrix, a: int, w2: ExactMatrix, b: int) -> ExactMatrix:
         """Concatenation product of column vectors in degrees ``a`` and ``b``.
@@ -122,10 +134,7 @@ def check_truncated_axioms(T: TruncatedTensorBialgebra, N: int | None = None) ->
     for l in range(N + 1):
         for m in range(N + 1 - l):
             for n in range(N + 1 - l - m):
-                lhs = (whisker(d ** n, ct(l, m), 1) * whisker(1, ct(l, n), d ** m)
-                       * whisker(d ** l, ct(m, n), 1))
-                rhs = (whisker(1, ct(m, n), d ** l) * whisker(d ** m, ct(l, n), 1)
-                       * whisker(1, ct(l, m), d ** n))
+                lhs, rhs = hexagon(ct(l, m), ct(l, n), ct(m, n), d ** l, d ** m, d ** n)
                 report.add(compare(f"yang_baxter[{l},{m},{n}]", lhs, rhs))
 
     # Product/braiding compatibility: stacking strands on the left...
@@ -183,14 +192,12 @@ def check_truncated_axioms(T: TruncatedTensorBialgebra, N: int | None = None) ->
     for m in range(N + 1):
         for n in range(N + 1 - m):
             for k in range(n + 1):
-                lhs = whisker(1, dl(k, n), d ** m) * ct(m, n)
-                rhs = (whisker(d ** k, ct(m, n - k), 1) * whisker(1, ct(m, k), d ** (n - k))
-                       * whisker(d ** m, dl(k, n), 1))
+                lhs, rhs = coproduct_braids(whisker, dl(k, n), ct(m, n), ct(m, k), ct(m, n - k),
+                                            d ** m, d ** k, d ** (n - k))
                 report.add(compare(f"coproduct_braids_left[{m},{n};{k}]", lhs, rhs))
             for k in range(m + 1):
-                lhs = whisker(d ** n, dl(k, m), 1) * ct(m, n)
-                rhs = (whisker(1, ct(k, n), d ** (m - k)) * whisker(d ** k, ct(m - k, n), 1)
-                       * whisker(1, dl(k, m), d ** n))
+                lhs, rhs = coproduct_braids(mirror, dl(k, m), ct(m, n), ct(m - k, n), ct(k, n),
+                                            d ** n, d ** (m - k), d ** k)
                 report.add(compare(f"coproduct_braids_right[{m},{n};{k}]", lhs, rhs))
 
     # Counit/braiding compatibility, blockwise.

@@ -23,6 +23,7 @@ from .braided import (
     BialgebraData,
     BraidedObject,
     CheckItem,
+    braided_map,
     check_braided_bialgebra,
     compare,
 )
@@ -162,8 +163,8 @@ def check_primfunct_square(F: FunctorData, B: BialgebraData) -> bool:
         t.inverse()
     except NotInvertible:
         return False
-    tt = t.kron(t)
-    return P2.braiding * tt == tt * P.braiding
+    lhs, rhs = braided_map(t.kron(t), P.braiding, P2.braiding)
+    return lhs == rhs
 
 
 # -- symmetric base braidings -------------------------------------------------
@@ -195,13 +196,7 @@ def _parities(base: BaseBraiding, dim: int) -> list[int]:
 
 def J_braiding(base: BaseBraiding, dim: int, field: FieldSpec) -> BraidedObject:
     """The braided object carried by the base symmetry on a ``dim``-space."""
-    par = _parities(base, dim)
-    rows = [{} for _ in range(dim * dim)]
-    for i in range(dim):
-        for j in range(dim):
-            rows[j * dim + i][i * dim + j] = field.element(base.sign(par[i], par[j]))
-    c = ExactMatrix._raw(field, rows, dim * dim, dim * dim)
-    return BraidedObject.from_c(field, dim, c)
+    return BraidedObject.from_c(field, dim, direct_power_braiding(base, dim, field, 1, 1))
 
 
 def direct_power_braiding(base: BaseBraiding, dim: int, field: FieldSpec,
@@ -215,8 +210,7 @@ def direct_power_braiding(base: BaseBraiding, dim: int, field: FieldSpec,
         pI = _tensor_parity(I, m, dim, par)
         for J in range(dim ** n):
             pJ = _tensor_parity(J, n, dim, par)
-            sign = -1 if (base.kind == SUPER and pI == 1 and pJ == 1) else 1
-            out[J * (dim ** m) + I] = {I * (dim ** n) + J: field.element(sign)}
+            out[J * (dim ** m) + I] = {I * (dim ** n) + J: field.element(base.sign(pI, pJ))}
     return ExactMatrix._raw(field, out, size, size)
 
 
