@@ -155,8 +155,8 @@ def hexagon(lm: ExactMatrix, ln: ExactMatrix, mn: ExactMatrix,
     """The two sides of the hexagon for exchange blocks ``c^{l,m}, c^{l,n}, c^{m,n}``
     between spaces of dimensions ``dl, dm, dn`` (Yang-Baxter when all are ``c``):
     ``(1_n⊗c^{l,m})(c^{l,n}⊗1_m)(1_l⊗c^{m,n}) = (c^{m,n}⊗1_l)(1_m⊗c^{l,n})(c^{l,m}⊗1_n)``."""
-    lhs = whisker(dn, lm, 1) * whisker(1, ln, dm) * whisker(dl, mn, 1)
-    rhs = whisker(1, mn, dl) * whisker(dm, ln, 1) * whisker(1, lm, dn)
+    lhs = whisker(dn, lm, 1, whisker(1, ln, dm, whisker(dl, mn, 1)))
+    rhs = whisker(1, mn, dl, whisker(dm, ln, 1, whisker(1, lm, dn)))
     return lhs, rhs
 
 
@@ -166,15 +166,16 @@ def braids_past_product(c: ExactMatrix, Ai: AlgebraData, Aj: AlgebraData):
     ``c(A_i⊗m) = (m⊗A_i)(A_j⊗c)(c⊗A_j)``, ``c(u⊗A_j) = A_j⊗u``, ``c(A_i⊗u) = u⊗A_i``
     (the unit constraints are strict, so the unit laws lose their ``l, r``)."""
     di, dj = Ai.dim, Aj.dim
-    yield c * whisker(1, Ai.m, dj), whisker(dj, Ai.m, 1) * whisker(1, c, di) * whisker(di, c, 1)
-    yield c * whisker(di, Aj.m, 1), whisker(1, Aj.m, di) * whisker(dj, c, 1) * whisker(1, c, dj)
+    yield c * whisker(1, Ai.m, dj), whisker(dj, Ai.m, 1, whisker(1, c, di, whisker(di, c, 1)))
+    yield c * whisker(di, Aj.m, 1), whisker(1, Aj.m, di, whisker(dj, c, 1, whisker(1, c, dj)))
     yield c * whisker(1, Ai.u, dj), whisker(dj, Ai.u, 1)
     yield c * whisker(di, Aj.u, 1), whisker(1, Aj.u, di)
 
 
-def mirror(left: int, X: ExactMatrix, right: int) -> ExactMatrix:
-    """``whisker`` with every tensor product read right to left: ``1_right ⊗ X ⊗ 1_left``."""
-    return whisker(right, X, left)
+def mirror(left: int, X: ExactMatrix, right: int, M: ExactMatrix | None = None) -> ExactMatrix:
+    """``whisker`` with every tensor product read right to left: ``1_right ⊗ X ⊗ 1_left``,
+    applied to ``M`` when it is given."""
+    return whisker(right, X, left, M)
 
 
 def coproduct_braids(pad, delta: ExactMatrix, c: ExactMatrix, c1: ExactMatrix,
@@ -183,8 +184,8 @@ def coproduct_braids(pad, delta: ExactMatrix, c: ExactMatrix, c1: ExactMatrix,
     ``Δ: N -> N1⊗N2``, ``c = c^{M,N}``, ``c1 = c^{M,N1}``, ``c2 = c^{M,N2}`` and
     ``d, d1, d2`` the dimensions of ``M, N1, N2``.  ``pad`` is ``whisker`` for this
     law and ``mirror`` for its mirror image, which reads every ``⊗`` right to left."""
-    lhs = pad(1, delta, d) * c
-    rhs = pad(d1, c2, 1) * pad(1, c1, d2) * pad(d, delta, 1)
+    lhs = pad(1, delta, d, c)
+    rhs = pad(d1, c2, 1, pad(1, c1, d2, pad(d, delta, 1)))
     return lhs, rhs
 
 
@@ -240,9 +241,9 @@ def check_algebra(A: AlgebraData) -> AxiomReport:
 def check_coalgebra(field: FieldSpec, dim: int, delta: ExactMatrix, eps: ExactMatrix) -> AxiomReport:
     report = AxiomReport()
     ident = ExactMatrix.identity(field, dim)
-    report.add(compare("coassociative", whisker(1, delta, dim) * delta, whisker(dim, delta, 1) * delta))
-    report.add(compare("counit_left", whisker(1, eps, dim) * delta, ident))
-    report.add(compare("counit_right", whisker(dim, eps, 1) * delta, ident))
+    report.add(compare("coassociative", whisker(1, delta, dim, delta), whisker(dim, delta, 1, delta)))
+    report.add(compare("counit_left", whisker(1, eps, dim, delta), ident))
+    report.add(compare("counit_right", whisker(dim, eps, 1, delta), ident))
     return report
 
 
@@ -263,8 +264,8 @@ def check_braided_coalgebra(field: FieldSpec, dim: int, delta: ExactMatrix,
     report = AxiomReport()
     for name, pad in (("coproduct_braids_left", whisker), ("coproduct_braids_right", mirror)):
         report.add(compare(name, *coproduct_braids(pad, delta, c, c, c, dim, dim, dim)))
-    report.add(compare("counit_braids_left", whisker(1, eps, dim) * c, whisker(dim, eps, 1)))
-    report.add(compare("counit_braids_right", whisker(dim, eps, 1) * c, whisker(1, eps, dim)))
+    report.add(compare("counit_braids_left", whisker(1, eps, dim, c), whisker(dim, eps, 1)))
+    report.add(compare("counit_braids_right", whisker(dim, eps, 1, c), whisker(1, eps, dim)))
     return report
 
 
@@ -286,7 +287,7 @@ def check_braided_bialgebra(B: BialgebraData) -> AxiomReport:
     report.add(compare(
         "coproduct_of_product",  # Δm = (m⊗m)(B⊗c⊗B)(Δ⊗Δ)
         B.delta * B.m,
-        B.m.kron(B.m) * whisker(B.dim, B.c, B.dim) * B.delta.kron(B.delta),
+        B.m.kron(B.m) * whisker(B.dim, B.c, B.dim, B.delta.kron(B.delta)),
     ))
     report.add(compare("coproduct_of_unit", B.delta * B.u, B.u.kron(B.u)))
     report.add(compare("counit_of_product", B.eps * B.m, B.eps.kron(B.eps)))
@@ -333,11 +334,8 @@ def product_algebra(spec: ProductAlgebraSpec, i: int, j: int) -> BraidedAlgebra:
     di, dj = Ai.dim, Aj.dim
     m = Ai.m.kron(Aj.m) * whisker(di, spec.c(j, i), dj)
     u = Ai.u.kron(Aj.u)
-    c = (
-        whisker(di, spec.c(i, j), dj)
-        * spec.c(i, i).kron(spec.c(j, j))
-        * whisker(di, spec.c(j, i), dj)
-    )
+    c = whisker(di, spec.c(i, j), dj,
+                spec.c(i, i).kron(spec.c(j, j)) * whisker(di, spec.c(j, i), dj))
     return BraidedAlgebra(AlgebraData(f, Ai.dim * Aj.dim, m, u), c)
 
 
@@ -359,10 +357,9 @@ def double_braiding_operators(c: ExactMatrix, dim: int) -> tuple[ExactMatrix, Ex
     ``c21 = (c⊗1)(1⊗c)``, ``c12 = (1⊗c)(c⊗1)``,
     ``c22 = (1⊗c⊗1)(c⊗c)(1⊗c⊗1)``.
     """
-    c21 = whisker(1, c, dim) * whisker(dim, c, 1)
-    c12 = whisker(dim, c, 1) * whisker(1, c, dim)
-    middle = whisker(dim, c, dim)
-    c22 = middle * c.kron(c) * middle
+    c21 = whisker(1, c, dim, whisker(dim, c, 1))
+    c12 = whisker(dim, c, 1, whisker(1, c, dim))
+    c22 = whisker(dim, c, dim, c.kron(c) * whisker(dim, c, dim))
     return c21, c12, c22
 
 

@@ -17,8 +17,11 @@ Conventions, pinned once and used everywhere:
 * ``kron`` is row-major: ``(a ⊗ b)[i*rows_b + k, j*cols_b + l] = a[i,j] * b[k,l]``,
   matching the basis identification ``e_i ⊗ e_j -> i*d + j``;
 * ``whisker(left, X, right)`` is ``1_left ⊗ X ⊗ 1_right``, the one way to
-  pad a map with identity strands; ``kron`` is kept for tensor products of
-  two maps that are not identities;
+  pad a map with identity strands; ``whisker(left, X, right, M)`` applies
+  that map to ``M`` without building it, and ``X * M`` is the same kernel
+  with ``left = right = 1``, so there is one product loop.  A row of ``X``
+  whose single nonzero is one shares the row of ``M`` it picks out.
+  ``kron`` is kept for tensor products of two maps that are not identities;
 * row and column counts of zero are legal (the zero object shows up as the
   primitive space of a group algebra, for instance).
 
@@ -184,23 +187,11 @@ class ExactMatrix:
         return ExactMatrix._raw(self.field, out, self.rows, self.cols)
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Matrix product: each row is the sum of the rows of ``other``
-        picked out by its nonzeros, so a signed permutation costs one pass."""
+        """Matrix product, ``whisker(1, self, 1, other)``: each row is the sum
+        of the rows of ``other`` picked out by its nonzeros."""
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        self._check_field(other)
-        if self.cols != other.rows:
-            raise ShapeError(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        norm = self.field.normalize
-        orows = other.nonzeros
-        out = []
-        for row in self.nonzeros:
-            acc = {}
-            for k, a in row.items():
-                for j, b in orows[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append({j: x for j, y in acc.items() if (x := norm(y))})
-        return ExactMatrix._raw(self.field, out, self.rows, other.cols)
+        return _apply(1, self, 1, other)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product, the tensor product of linear maps."""
@@ -366,13 +357,17 @@ def stack_rows(mats: list[ExactMatrix], field: FieldSpec, cols: int) -> ExactMat
     return ExactMatrix._raw(field, out, len(out), cols)
 
 
-def whisker(left: int, X: ExactMatrix, right: int) -> ExactMatrix:
+def whisker(left: int, X: ExactMatrix, right: int, M: ExactMatrix | None = None) -> ExactMatrix:
     """``1_left ⊗ X ⊗ 1_right``: ``X`` acting on the middle tensor factor.
 
-    Each nonzero of ``X`` is copied onto its ``left * right`` diagonal
+    With ``M``, the product ``(1_left ⊗ X ⊗ 1_right) · M``, computed from the
+    rows of ``X`` and ``M`` without building the padded matrix.  Without it,
+    each nonzero of ``X`` is copied onto its ``left * right`` diagonal
     positions, so the result holds ``left * right * nnz(X)`` cells, each the
     value that ``identity(left).kron(X).kron(identity(right))`` gives.
     """
+    if M is not None:
+        return _apply(left, X, right, M)
     if left == right == 1:
         return X
     out = []
@@ -382,6 +377,43 @@ def whisker(left: int, X: ExactMatrix, right: int) -> ExactMatrix:
             for t in range(right):
                 out.append({(shift + j) * right + t: x for j, x in row.items()})
     return ExactMatrix._raw(X.field, out, left * X.rows * right, left * X.cols * right)
+
+
+def _apply(left: int, X: ExactMatrix, right: int, M: ExactMatrix) -> ExactMatrix:
+    """``(1_left ⊗ X ⊗ 1_right) · M``, the one product loop.
+
+    Output row ``(s, r, t)`` sums the rows ``(s * X.cols + k) * right + t`` of
+    ``M``, weighted by ``X[r, k]``.  A row of ``X`` with a single nonzero picks
+    out ``right`` consecutive rows of ``M``: when that nonzero is one they are
+    shared, not copied, and otherwise each cell is scaled with no zero test,
+    since a product of two nonzeros in a field is nonzero.
+    """
+    require_same_field(X.field, M.field)
+    rows, inner = left * X.rows * right, left * X.cols * right
+    if inner != M.rows:
+        raise ShapeError(f"cannot compose {rows}x{inner} with {M.rows}x{M.cols}")
+    norm, one = X.field.normalize, X.field.one
+    mrows = M.nonzeros
+    out = []
+    for s in range(left):
+        base = s * X.cols
+        for row in X.nonzeros:
+            if len(row) == 1:
+                [(k, a)] = row.items()
+                start = (base + k) * right
+                picked = mrows[start:start + right]
+                if a == one:
+                    out.extend(picked)
+                else:
+                    out.extend({j: norm(a * b) for j, b in r.items()} for r in picked)
+                continue
+            for t in range(right):
+                acc = {}
+                for k, a in row.items():
+                    for j, b in mrows[(base + k) * right + t].items():
+                        acc[j] = acc.get(j, 0) + a * b
+                out.append({j: x for j, y in acc.items() if (x := norm(y))})
+    return ExactMatrix._raw(X.field, out, rows, M.cols)
 
 
 def kron_power(m: ExactMatrix, n: int) -> ExactMatrix:

@@ -6,7 +6,8 @@ import pytest
 from braidalg import RATIONALS, prime_field
 from braidalg.cli import main
 from braidalg.gallery import corrupted_flip, exterior_line, flip_braiding, scalar_braiding
-from braidalg.serialize import bialgebra_to_json, braiding_to_json
+from braidalg.serialize import bialgebra_to_json, braiding_to_json, matrix_to_json
+from braidalg.tensoralg import build_truncated
 
 F5 = prime_field(5)
 
@@ -164,6 +165,50 @@ class TestBuildRoundTrip:
         built.write_text(json.dumps(dump))
         code, out = run(capsys, "verify", "--input", str(built))
         assert code == 1
+
+
+    def test_verify_gates_dump_on_yang_baxter(self, files, capsys):
+        # at degree 2 the axiom suite has no hexagon, so only the gate sees this c
+        V = corrupted_flip(RATIONALS)
+        blocks = {key: matrix_to_json(block) for key, block in build_truncated(V, 2).named_blocks()}
+        path = files["dir"] / "bad_dump.json"
+        path.write_text(json.dumps({**braiding_to_json(V), "degree": 2, "blocks": blocks}))
+        code, out = run(capsys, "verify", "--input", str(path))
+        report = json.loads(out)
+        assert code == 1
+        assert report["passed"] is False
+        assert report["subject"] == "build"
+        assert [c["name"] for c in report["checks"] if not c["passed"]] == ["yang_baxter"]
+
+
+class TestRepeatedCalls:
+    def test_one_process_many_calls(self, files, capsys):
+        """The parser is built once per process, so each call must parse afresh:
+        a later call sees no option or default left over from an earlier one."""
+        calls = [
+            ["verify", "--input", files["flip"], "--seed", "5"],
+            ["verify", "--input", files["flip"]],
+            ["primitives", "--input", files["flip"], "--degree", "3"],
+            ["build", "--input", files["bad"], "--degree", "2"],
+            ["verify"],
+            ["jcheck", "--base", "super", "--dim", "2", "--degree", "3"],
+            ["jcheck", "--base", "flip", "--dim", "2", "--degree", "3", "--field", "fp:5"],
+            ["braidrep", "--input", files["flip"], "--m", "1", "--n", "2"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            return code, capsys.readouterr().out
+
+        first = [outcome(argv) for argv in calls]
+        assert [code for code, _ in first] == [0, 0, 0, 1, 2, 2, 0, 0]
+        assert json.loads(first[0][1])["config"]["seed"] == 5
+        assert json.loads(first[1][1])["config"]["seed"] == 0
+        for _ in range(2):
+            assert [outcome(argv) for argv in calls] == first
 
 
 class TestTransport:

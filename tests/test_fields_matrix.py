@@ -473,6 +473,75 @@ class TestSparseKernels:
         assert mat(RATIONALS, [["0", "0/3", 0]]).is_zero()
 
 
+@st.composite
+def applied_inputs(draw):
+    """``(left, X, right, M)`` with ``M`` composable after ``1_left ⊗ X ⊗ 1_right``.
+    Each row of ``X`` is a unit row, a single entry other than one (a unit
+    row over F_2, which has no other), a general row or an empty row."""
+    field = draw(st.sampled_from(ORACLE_FIELDS))
+    if field.p is None:
+        scalar = st.one_of(st.integers(-3, 3),
+                           st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        other = scalar.filter(lambda x: x not in (0, 1))
+    else:
+        scalar = st.integers(0, field.p - 1)
+        other = st.integers(min(2, field.p - 1), field.p - 1)
+    cell = st.one_of(st.just(0), scalar)
+    left, right = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    rows, inner, cols = draw(st.integers(0, 3)), draw(st.integers(0, 3)), draw(st.integers(0, 4))
+
+    def x_row():
+        kind = draw(st.sampled_from(["unit", "single", "general", "empty"]))
+        if kind == "general":
+            return draw(st.lists(cell, min_size=inner, max_size=inner))
+        row = [0] * inner
+        if inner and kind != "empty":
+            row[draw(st.integers(0, inner - 1))] = 1 if kind == "unit" else draw(other)
+        return row
+
+    X = ExactMatrix(field, [x_row() for _ in range(rows)], rows=rows, cols=inner)
+    height = left * inner * right
+    grid = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols),
+                         min_size=height, max_size=height))
+    return left, X, right, ExactMatrix(field, grid, rows=height, cols=cols)
+
+
+class TestAppliedWhisker:
+    """``whisker(left, X, right, M)`` against the padded product and the dense oracle."""
+
+    @given(applied_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_padded_product_and_dense_oracle(self, inputs):
+        left, X, right, M = inputs
+        got = whisker(left, X, right, M)
+        assert_same(got, whisker(left, X, right) * M)
+        assert_same(got, dense_mul(dense_whisker(left, X, right), M))
+        assert typed_cells(got) == typed_cells(dense_mul(dense_whisker(left, X, right), M))
+
+    def test_shape_and_field_errors(self):
+        X, M = mat(F5, [[1, 2]]), ExactMatrix.zeros(F5, 3, 2)
+        with pytest.raises(ShapeError, match="cannot compose 2x4 with 3x2"):
+            whisker(1, X, 2, M)
+        with pytest.raises(ShapeError, match="cannot compose 2x4 with 3x2"):
+            whisker(1, X, 2) * M
+        with pytest.raises(FieldMismatch):
+            whisker(2, X, 1, ExactMatrix.zeros(RATIONALS, 4, 1))
+
+    def test_shared_rows_survive_elimination_and_arithmetic(self):
+        # the flip's rows are unit rows, so the result shares rows of M
+        M = mat(RATIONALS, [[1, "1/2", 0], [0, 3, 4], [2, 0, "-1/3"], [5, 6, 7],
+                            [1, 0, 0], [0, 0, 0], ["2/3", 1, 1], [0, 1, 0]])
+        before = [[(j, type(x), x) for j, x in row.items()] for row in M.nonzeros]
+        flip = flip_braiding(RATIONALS, 2).c
+        for left, right in ((1, 2), (2, 1)):
+            out = whisker(left, flip, right, M)
+            assert any(r is s for r in out.nonzeros for s in M.nonzeros)
+            derived = [out.rref()[0], out.nullspace(), out + M, out - M, M - out, out + (-out)]
+            assert derived[-1].is_zero()
+            assert [[(j, type(x), x) for j, x in row.items()] for row in M.nonzeros] == before
+            assert out == dense_mul(dense_whisker(left, flip, right), M)
+
+
 class TestSerialization:
     def test_string_roundtrip(self):
         m = mat(RATIONALS, [["1/2", "-3"], ["0", "7/3"]])
