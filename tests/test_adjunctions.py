@@ -1,3 +1,5 @@
+import pytest
+
 from braidalg import (
     RATIONALS,
     AlgebraData,
@@ -137,6 +139,18 @@ class TestTensorPrimitiveTriangles:
     def test_second_triangle_blockwise(self):
         assert check_triangles_Tbar_P(flip_braiding(RATIONALS, 2), exterior_line(RATIONALS), 3)
         assert check_triangles_Tbar_P(scalar_braiding(F5, 2), exterior_line(F5), 4)
+
+    @pytest.mark.parametrize("field", [RATIONALS, F5], ids=["Q", "F5"])
+    @pytest.mark.parametrize("N", [2, 3, 4])
+    def test_square_one_detected(self, field, N):
+        # negative control: with x·x = 1 the product of two primitives is
+        # the unit, not a primitive, so ζ_2 cannot factor through P(B)
+        B = exterior_line(field)
+        m = ExactMatrix(field, [[1, 0, 0, 1], [0, 1, 1, 0]])
+        wrong = BialgebraData(field, B.dim, m, B.u, B.delta, B.eps, B.c)
+        assert check_triangles_Tbar_P(flip_braiding(field, 2), wrong, N) is False
+        failed = [i.name for i in check_zeta_coalgebra(wrong, N).failures()]
+        assert failed[:2] == ["comultiplicative[2]", "counital[2]"]
 
 
 class TestWitness:
