@@ -13,7 +13,7 @@ from .adjunctions import (
     check_triangles_T_Omega,
     check_triangles_Tbar_P,
     check_zeta_coalgebra,
-    iterated_product,
+    iterated_products,
     primitive_counit_blocks,
     primitive_unit,
 )

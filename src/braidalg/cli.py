@@ -15,20 +15,21 @@ import sys
 
 from . import __version__
 from .adjunctions import (
+    build_adjunction_witness,
     check_triangles_T_Omega,
     check_triangles_Tbar_P,
     check_zeta_coalgebra,
-    primitive_counit_blocks,
 )
 from .braided import AxiomReport, check_braided_bialgebra, check_yang_baxter
 from .errors import BraidAlgError
 from .fields import RATIONALS, FieldSpec, prime_field
-from .matrix import ExactMatrix
 from .primitives import primitives, primitives_of_tensor
 from .serialize import (
     SchemaError,
     bialgebra_from_json,
+    bialgebra_to_json,
     braiding_from_json,
+    braiding_to_json,
     field_from_json,
     kind_of_input,
     matrix_from_json,
@@ -181,9 +182,7 @@ def cmd_build(args) -> int:
         "tool": "braidalg",
         "version": __version__,
         "config": {"input": args.input, "degree": args.degree, "seed": args.seed},
-        "field": V.field.to_json(),
-        "dim": V.dim,
-        "c": matrix_to_json(V.c),
+        **braiding_to_json(V),
         "degree": args.degree,
         "blocks": blocks,
     }
@@ -280,12 +279,7 @@ def cmd_transport(args) -> int:
     report = _base_report("transport", {
         "input": args.input, "functor": fdesc, "seed": args.seed,
     })
-    report["bialgebra"] = {
-        "field": out.field.to_json(), "dim": out.dim,
-        "m": matrix_to_json(out.m), "u": matrix_to_json(out.u),
-        "delta": matrix_to_json(out.delta), "eps": matrix_to_json(out.eps),
-        "c": matrix_to_json(out.c),
-    }
+    report["bialgebra"] = bialgebra_to_json(out)
     report["checks"] = _report_checks(rep) + [
         {"name": "primitive_square", "passed": square},
     ]
@@ -333,21 +327,15 @@ def cmd_adjunction_check(args) -> int:
     gate = check_braided_bialgebra(B)
     rows: list[dict] = []
     if gate.passed:
-        space = primitives(B, check=False)
+        w = build_adjunction_witness(B, args.degree)
         rows.append({"name": "free_forgetful_triangles", "passed": check_triangles_T_Omega(V, args.degree)})
-        zeta_rep = check_zeta_coalgebra(B, args.degree, space)
-        rows.extend(_report_checks(zeta_rep))
-        zeta = primitive_counit_blocks(B, args.degree, space)
-        rows.append({"name": "zeta_degree1_is_inclusion", "passed": zeta[1] == space.inclusion})
-        rows.append({"name": "zeta_degree0_is_unit", "passed": zeta[0] == B.u})
-        rows.append({
-            "name": "tensor_primitive_triangles",
-            "passed": check_triangles_Tbar_P(V, B, args.degree),
-        })
-        eps_xi = B.eps * space.inclusion
+        rows.extend(_report_checks(check_zeta_coalgebra(w)))
+        rows.append({"name": "zeta_degree1_is_inclusion", "passed": w.zeta_blocks[1] == w.space.inclusion})
+        rows.append({"name": "zeta_degree0_is_unit", "passed": w.zeta_blocks[0] == B.u})
+        rows.append({"name": "tensor_primitive_triangles", "passed": check_triangles_Tbar_P(w)})
         rows.append({
             "name": "counit_kills_primitives_exact",
-            "passed": eps_xi == ExactMatrix.zeros(B.field, 1, space.dim),
+            "passed": (B.eps * w.space.inclusion).is_zero(),
         })
     else:
         rows.extend(_report_checks(gate))

@@ -276,12 +276,10 @@ class ExactMatrix:
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
             raise NotInvertible(f"{self.rows}x{self.cols} matrix is not square")
-        n = self.rows
-        aug = hstack(self, ExactMatrix.identity(self.field, n))
-        R, pivots = aug.rref()
-        if len(pivots) < n or any(p >= n for p in pivots):
-            raise NotInvertible("matrix is singular")
-        return ExactMatrix._raw(self.field, _right_part(R.nonzeros, n), n, n)
+        try:
+            return self.solve(ExactMatrix.identity(self.field, self.rows))
+        except LinearSolveError as exc:
+            raise NotInvertible("matrix is singular") from exc
 
     def solve(self, rhs: "ExactMatrix") -> "ExactMatrix":
         """Unique exact solution ``X`` of ``self * X = rhs``.

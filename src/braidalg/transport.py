@@ -295,16 +295,13 @@ def check_J_compatibility(base: BaseBraiding, dim: int, N: int,
                 T.braiding_block(m, n),
                 direct_power_braiding(base, dim, field, m, n),
             ))
-    for n in range(1, N + 1):
-        for k in range(n + 1):
-            report.add(compare(
-                f"unshuffle[{k},{n}]",
-                T.coproduct_block(k, n),
-                classical_unshuffle_block(base, dim, field, k, n),
-            ))
-    for n in range(1, N + 1):
+    classical = {n: [classical_unshuffle_block(base, dim, field, k, n) for k in range(n + 1)]
+                 for n in range(1, N + 1)}
+    for n, blocks in classical.items():
+        for k, block in enumerate(blocks):
+            report.add(compare(f"unshuffle[{k},{n}]", T.coproduct_block(k, n), block))
+    for n, blocks in classical.items():
         braided_xi = primitives_of_tensor(T, n)
-        plain = [classical_unshuffle_block(base, dim, field, k, n) for k in range(1, n)]
-        plain_xi = stack_rows(plain, field, dim ** n).nullspace()
+        plain_xi = stack_rows(blocks[1:n], field, dim ** n).nullspace()
         report.add(compare(f"primitive_inclusion[{n}]", braided_xi, plain_xi))
     return report

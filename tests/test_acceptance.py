@@ -16,6 +16,7 @@ from braidalg import (
     NotInvertible,
     OracleBraidRepCache,
     basis_change,
+    build_adjunction_witness,
     build_truncated,
     check_braided_bialgebra,
     check_hexagon,
@@ -170,14 +171,10 @@ def test_criterion_7_adjunction_triangles():
         for V in braided:
             assert check_triangles_T_Omega(V, 4)
         for B in bialgebras:
-            assert check_zeta_coalgebra(B, 4).passed
-            space = primitives(B, check=False)
-            assert (B.eps * space.inclusion).is_zero()
-        for V in braided:
-            for B in bialgebras:
-                if V.field != B.field:
-                    continue
-                assert check_triangles_Tbar_P(V, B, 4)
+            w = build_adjunction_witness(B, 4)
+            assert check_zeta_coalgebra(w).passed
+            assert (B.eps * w.space.inclusion).is_zero()
+            assert check_triangles_Tbar_P(w)
 
 
 def test_criterion_8_transport_coherence():

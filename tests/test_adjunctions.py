@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from braidalg import (
@@ -10,7 +12,7 @@ from braidalg import (
     check_triangles_T_Omega,
     check_triangles_Tbar_P,
     check_zeta_coalgebra,
-    iterated_product,
+    iterated_products,
     kron_power,
     prime_field,
     primitive_counit_blocks,
@@ -32,27 +34,28 @@ F5 = prime_field(5)
 class TestIteratedProduct:
     def test_base_cases(self):
         A = exterior_line(RATIONALS).algebra
-        assert iterated_product(A, 0) == A.u
-        assert iterated_product(A, 1) == ExactMatrix.identity(RATIONALS, 2)
+        assert iterated_products(A, 0) == [A.u]
+        assert iterated_products(A, 1) == [A.u, ExactMatrix.identity(RATIONALS, 2)]
 
     def test_exterior_square_column(self):
         A = exterior_line(RATIONALS).algebra
-        two = iterated_product(A, 2)
+        two = iterated_products(A, 2)[2]
         assert two == A.m
         col = [two[i, 3] for i in range(2)]  # x⊗x column
         assert col == [0, 0]
 
     def test_left_and_right_folds_agree(self):
         for A in (exterior_line(RATIONALS).algebra, group_algebra_z2(F5).algebra):
+            folds = iterated_products(A, 5)
             for n in range(6):
-                assert iterated_product(A, n) == iterated_product_rightfold(A, n)
+                assert folds[n] == iterated_product_rightfold(A, n)
 
     def test_counit_blocks_are_multiplicative(self):
         A = group_algebra_z2(RATIONALS).algebra
+        p = iterated_products(A, 3)
         for a in range(4):
             for b in range(4 - a):
-                lhs = A.m * iterated_product(A, a).kron(iterated_product(A, b))
-                assert lhs == iterated_product(A, a + b)
+                assert A.m * p[a].kron(p[b]) == p[a + b]
 
 
 class TestFreeForgetfulTriangles:
@@ -90,18 +93,18 @@ class TestZetaBlocks:
     def test_degree_zero_and_one(self):
         B = exterior_line(RATIONALS)
         space = primitives(B)
-        z = primitive_counit_blocks(B, 3, space)
+        z = primitive_counit_blocks(iterated_products(B.algebra, 3), space.inclusion)
         assert z[0] == B.u
         assert z[1] == space.inclusion
 
     def test_exterior_degree_two_vanishes(self):
         B = exterior_line(RATIONALS)
-        z = primitive_counit_blocks(B, 3)
+        z = build_adjunction_witness(B, 3).zeta_blocks
         assert z[2].is_zero()
 
     def test_multiplicative_across_degrees(self):
         B = exterior_line(F5)
-        z = primitive_counit_blocks(B, 4)
+        z = build_adjunction_witness(B, 4).zeta_blocks
         for a in range(5):
             for b in range(5 - a):
                 assert B.m * z[a].kron(z[b]) == z[a + b]
@@ -109,36 +112,35 @@ class TestZetaBlocks:
 
 class TestZetaCoalgebra:
     def test_exterior_line(self):
-        assert check_zeta_coalgebra(exterior_line(RATIONALS), 3).passed
+        assert check_zeta_coalgebra(build_adjunction_witness(exterior_line(RATIONALS), 3)).passed
 
     def test_group_algebra_trivially(self):
         # no primitives, so everything factors through degree zero
-        assert check_zeta_coalgebra(group_algebra_z2(RATIONALS), 3).passed
+        assert check_zeta_coalgebra(build_adjunction_witness(group_algebra_z2(RATIONALS), 3)).passed
 
     def test_exterior_line_mod5(self):
-        assert check_zeta_coalgebra(exterior_line(F5), 4).passed
+        assert check_zeta_coalgebra(build_adjunction_witness(exterior_line(F5), 4)).passed
 
     def test_corrupted_coproduct_detected(self):
         B = exterior_line(RATIONALS)
-        space = primitives(B)
         grid = [list(r) for r in B.delta.data]
         grid[0][1] = RATIONALS.element(1)  # make x no longer primitive-compatible
         wrong = BialgebraData(B.field, B.dim, B.m, B.u, ExactMatrix(RATIONALS, grid),
                               B.eps, B.c)
-        rep = check_zeta_coalgebra(wrong, 2, space)
+        # the blocks of the correct bialgebra, checked against the wrong coproduct
+        rep = check_zeta_coalgebra(replace(build_adjunction_witness(B, 2), bialgebra=wrong))
         assert not rep.passed
 
 
 class TestTensorPrimitiveTriangles:
     def test_exterior_line(self):
-        assert check_triangles_Tbar_P(flip_braiding(RATIONALS, 2), exterior_line(RATIONALS), 3)
+        assert check_triangles_Tbar_P(build_adjunction_witness(exterior_line(RATIONALS), 3))
 
     def test_group_algebra_vacuous_first_triangle(self):
-        assert check_triangles_Tbar_P(flip_braiding(RATIONALS, 2), group_algebra_z2(RATIONALS), 3)
+        assert check_triangles_Tbar_P(build_adjunction_witness(group_algebra_z2(RATIONALS), 3))
 
-    def test_second_triangle_blockwise(self):
-        assert check_triangles_Tbar_P(flip_braiding(RATIONALS, 2), exterior_line(RATIONALS), 3)
-        assert check_triangles_Tbar_P(scalar_braiding(F5, 2), exterior_line(F5), 4)
+    def test_exterior_line_mod5(self):
+        assert check_triangles_Tbar_P(build_adjunction_witness(exterior_line(F5), 4))
 
     @pytest.mark.parametrize("field", [RATIONALS, F5], ids=["Q", "F5"])
     @pytest.mark.parametrize("N", [2, 3, 4])
@@ -148,26 +150,23 @@ class TestTensorPrimitiveTriangles:
         B = exterior_line(field)
         m = ExactMatrix(field, [[1, 0, 0, 1], [0, 1, 1, 0]])
         wrong = BialgebraData(field, B.dim, m, B.u, B.delta, B.eps, B.c)
-        assert check_triangles_Tbar_P(flip_braiding(field, 2), wrong, N) is False
-        failed = [i.name for i in check_zeta_coalgebra(wrong, N).failures()]
+        w = build_adjunction_witness(wrong, N)
+        assert check_triangles_Tbar_P(w) is False
+        failed = [i.name for i in check_zeta_coalgebra(w).failures()]
         assert failed[:2] == ["comultiplicative[2]", "counital[2]"]
 
 
 class TestWitness:
     def test_assembly(self):
-        from braidalg import primitives_of_tensor
-
-        V = flip_braiding(RATIONALS, 2)
         B = exterior_line(RATIONALS)
-        w = build_adjunction_witness(V, B, 3)
-        assert w.eta == ExactMatrix.identity(RATIONALS, 2)
-        assert w.eta_bar == ExactMatrix.identity(RATIONALS, 2)
-        # the unit into the primitives factors the plain unit through the
-        # degree-1 inclusion
-        xi1 = primitives_of_tensor(build_truncated(V, 3), 1)
-        assert xi1 * w.eta_bar == w.eta
-        assert w.zeta_blocks[1] == primitives(B).inclusion
-        assert w.counit_blocks[0] == B.u
+        w = build_adjunction_witness(B, 3)
+        space = primitives(B)
+        assert w.bialgebra is B
+        assert w.space == space
+        assert (w.tensor.N, w.tensor.V.dim, w.tensor.V.c) == (3, 1, space.braiding)
+        assert len(w.zeta_blocks) == 4
+        assert w.zeta_blocks[0] == B.u
+        assert w.zeta_blocks[1] == space.inclusion
 
     def test_free_functor_blocks_commute_with_braiding(self):
         # degree-n block of the induced algebra map is the n-th tensor power
