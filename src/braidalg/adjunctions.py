@@ -94,12 +94,13 @@ class AdjunctionWitness:
     """The counit side of T̄ ⊣ P on one bialgebra, truncated at degree ``N``."""
 
     bialgebra: BialgebraData
-    space: PrimitiveSpace            # P(B), with its inclusion into B
+    space: PrimitiveSpace             # P(B), with its inclusion into B
     tensor: TruncatedTensorBialgebra  # T(P(B)) up to degree N
-    zeta_blocks: list[ExactMatrix]   # ζ_n: P(B)^{⊗n} -> B for n = 0..N
+    zeta_blocks: list[ExactMatrix]    # ζ_n: P(B)^{⊗n} -> B for n = 0..N
 
 
 def build_adjunction_witness(B: BialgebraData, N: int) -> AdjunctionWitness:
+    """``P(B)``, ``T(P(B))`` and ``ζ_0..ζ_N``, built once; ``N >= 1``."""
     space = primitives(B, check=False)
     return AdjunctionWitness(
         bialgebra=B,
