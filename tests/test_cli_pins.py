@@ -1,5 +1,12 @@
-"""`adjunction-check` and `jcheck` print the same bytes: stdout and exit code
-are pinned by sha256.
+"""Every CLI command prints the same bytes.
+
+`adjunction-check` and `jcheck` are pinned by the sha256 of stdout and the
+exit code.  `verify`, `build`, `primitives`, `braidrep` and `transport` are
+pinned by exit code, the sha256 of stdout, the exact stderr text and, where
+the command is given `--out`, the sha256 of the file it writes; together
+they cover every branch of each command: passing and failing checks, the
+Yang-Baxter gates, a build dump with a corrupted block, and the errors that
+a command reports itself.
 
 Each command runs in a temporary directory on input files named by relative
 paths, so the paths echoed in the report's `config` are the same on every
@@ -13,8 +20,15 @@ import pytest
 
 from braidalg import RATIONALS, BialgebraData, ExactMatrix, prime_field
 from braidalg.cli import main
-from braidalg.gallery import exterior_line, flip_braiding, group_algebra_z2, super_braiding
-from braidalg.serialize import bialgebra_to_json, braiding_to_json
+from braidalg.gallery import (
+    corrupted_flip,
+    exterior_line,
+    flip_braiding,
+    group_algebra_z2,
+    super_braiding,
+)
+from braidalg.serialize import bialgebra_to_json, braiding_to_json, matrix_to_json
+from braidalg.tensoralg import build_truncated
 
 F5 = prime_field(5)
 
@@ -27,6 +41,18 @@ def exterior_with_square_one(field):
     return BialgebraData(field, B.dim, m, B.u, B.delta, B.eps, B.c)
 
 
+def build_dump(V, degree):
+    """What ``build`` writes, less the envelope that ``verify`` does not read."""
+    blocks = {key: matrix_to_json(b) for key, b in build_truncated(V, degree).named_blocks()}
+    return {**braiding_to_json(V), "degree": degree, "blocks": blocks}
+
+
+def tampered(dump):
+    blocks = {**dump["blocks"], "delta/1_2": [list(r) for r in dump["blocks"]["delta/1_2"]]}
+    blocks["delta/1_2"][0][0] = "9"
+    return {**dump, "blocks": blocks}
+
+
 INPUTS = {
     "flip_q.json": braiding_to_json(flip_braiding(RATIONALS, 2)),
     "flip_f5.json": braiding_to_json(flip_braiding(F5, 2)),
@@ -37,6 +63,12 @@ INPUTS = {
     "z2_q.json": bialgebra_to_json(group_algebra_z2(RATIONALS)),
     "z2_f5.json": bialgebra_to_json(group_algebra_z2(F5)),
     "xx1_q.json": bialgebra_to_json(exterior_with_square_one(RATIONALS)),
+    "bad_q.json": braiding_to_json(corrupted_flip(RATIONALS)),
+    "dump_q.json": build_dump(flip_braiding(RATIONALS, 2), 3),
+    "dump_tampered_q.json": tampered(build_dump(flip_braiding(RATIONALS, 2), 3)),
+    "dump_bad_q.json": build_dump(corrupted_flip(RATIONALS), 2),
+    "g_q.json": {"field": {"kind": "rationals"}, "g": [["1", "0"], ["1", "1"]]},
+    "g_singular_q.json": {"field": {"kind": "rationals"}, "g": [["1", "1"], ["1", "1"]]},
 }
 
 
@@ -119,6 +151,90 @@ DIGESTS = {
 }
 
 
+# name -> (argv, the file it writes with --out, or None)
+REPORT_COMMANDS = {
+    "verify_flip_q": (["verify", "--input", "flip_q.json"], None),
+    "verify_bad_q": (["verify", "--input", "bad_q.json"], None),
+    "verify_ext_q": (["verify", "--input", "ext_q.json"], None),
+    "verify_xx1_q": (["verify", "--input", "xx1_q.json"], None),
+    "verify_dump_q": (["verify", "--input", "dump_q.json"], None),
+    "verify_dump_tampered_q": (["verify", "--input", "dump_tampered_q.json"], None),
+    "verify_dump_bad_q": (["verify", "--input", "dump_bad_q.json"], None),
+    "verify_flip_q_out": (["verify", "--input", "flip_q.json", "--out", "r.json"], "r.json"),
+    "build_flip_q_n2": (["build", "--input", "flip_q.json", "--degree", "2"], None),
+    "build_flip_f5_n3_out": (["build", "--input", "flip_f5.json", "--degree", "3",
+                              "--out", "dump.json"], "dump.json"),
+    "build_bad_q_n2": (["build", "--input", "bad_q.json", "--degree", "2"], None),
+    "primitives_flip_q_n4": (["primitives", "--input", "flip_q.json", "--degree", "4"], None),
+    "primitives_super_f5_n3": (["primitives", "--input", "super_f5.json", "--degree", "3"], None),
+    "primitives_ext_q": (["primitives", "--input", "ext_q.json"], None),
+    "primitives_z2_f5": (["primitives", "--input", "z2_f5.json"], None),
+    "primitives_xx1_q": (["primitives", "--input", "xx1_q.json"], None),
+    "braidrep_flip_q_1_2": (["braidrep", "--input", "flip_q.json", "--m", "1", "--n", "2"], None),
+    "braidrep_super_f5_2_1_out": (["braidrep", "--input", "super_f5.json", "--m", "2", "--n", "1",
+                                   "--seed", "7", "--out", "rep.json"], "rep.json"),
+    "braidrep_bad_q": (["braidrep", "--input", "bad_q.json", "--m", "1", "--n", "1"], None),
+    "transport_ext_q_g": (["transport", "--input", "ext_q.json", "--g", "g_q.json"], None),
+    "transport_ext_q_twist": (["transport", "--input", "ext_q.json", "--twist", "3/2"], None),
+    "transport_z2_f5_twist": (["transport", "--input", "z2_f5.json", "--twist", "3"], None),
+    "transport_ext_q_singular_g": (["transport", "--input", "ext_q.json",
+                                    "--g", "g_singular_q.json"], None),
+    "transport_xx1_q_twist": (["transport", "--input", "xx1_q.json", "--twist", "2"], None),
+}
+
+# name -> (exit code, sha256 of stdout, stderr, sha256 of the --out file or None)
+REPORT_PINS = {
+    "braidrep_bad_q": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: input braiding fails yang_baxter\n", None),
+    "braidrep_flip_q_1_2": (0, "2531e8f0c44570ee1bf67161dc1506f47e44639cabfaa0a02653a21080c82d08",
+        "", None),
+    "braidrep_super_f5_2_1_out": (0, "a92f39d4587c7cf1b5e2d632928e7972ce5eab66e4df950f2ccf1f9ce6753c5f",
+        "", "a92f39d4587c7cf1b5e2d632928e7972ce5eab66e4df950f2ccf1f9ce6753c5f"),
+    "build_bad_q_n2": (1, "ccbe12d7386a339f424be89ca70cfc0f2f38a994da3fb2b5a132036d8d0c8a21",
+        "", None),
+    "build_flip_f5_n3_out": (0, "0d1063580904af018b52c35e899d69fd75a583ac62e12d4adbd0787e2daf525f",
+        "", "0d1063580904af018b52c35e899d69fd75a583ac62e12d4adbd0787e2daf525f"),
+    "build_flip_q_n2": (0, "4c8129b64bb15063880772aa82d80816d16bc416da575b84dc3333ca07831700",
+        "", None),
+    "primitives_ext_q": (0, "902e7973e21ba1d4f63020048e78dae89c3a7477067de16929fe082bf3c77735",
+        "", None),
+    "primitives_flip_q_n4": (0, "c089713f4daa4542908978caef5ef9981d519abcdcce640a6231f8a487f95c35",
+        "", None),
+    "primitives_super_f5_n3": (0, "c27c58e1e4e09f15b9925ee31a946a21a11dc0c7ba42d6395fe69a6d36c77cb0",
+        "", None),
+    "primitives_xx1_q": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: not a braided bialgebra: coproduct_of_product\n", None),
+    "primitives_z2_f5": (0, "f8d4c95821b0179c4a7a1bea7420bddd1edb427d8443344c74d87d9230dcda17",
+        "", None),
+    "transport_ext_q_g": (0, "965e3d55fef01e98ea94655ff112daafc9ee030c504f54e73a05eba0415e56a7",
+        "", None),
+    "transport_ext_q_singular_g": (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "error: basis change must be invertible: matrix is singular\n", None),
+    "transport_ext_q_twist": (0, "e43dfb87208e73d8f7016cff9a72c5efb91cb35262cbba19e9418258b5a41d8d",
+        "", None),
+    "transport_xx1_q_twist": (1, "970a937eed8ad212e1d3aa2b38951dd1e50f35f502c84a93ab26221edaa1b433",
+        "", None),
+    "transport_z2_f5_twist": (0, "48235a0282be83966a431ae5a34604e495747fc12a45233afe3458924829dbee",
+        "", None),
+    "verify_bad_q": (1, "7ee39e721dcd82330abafbb4bb8588bbfb3fe4e5913211d6ca896af3e490bb43",
+        "", None),
+    "verify_dump_bad_q": (1, "7aeafaf56a5a441eda8917ed6a19124038cd4ec55b31704eb4ede63ca938b798",
+        "", None),
+    "verify_dump_q": (0, "f4fba48b7ce774c53b32dd0a2920558f0e55d250eb0ea7af65c706bbf5b8ab1b",
+        "", None),
+    "verify_dump_tampered_q": (1, "556229a86145e1d517598f1a2b3f1ebdedb9caecbf470b3f721c3586f9bd0a43",
+        "", None),
+    "verify_ext_q": (0, "194454d39e0b0229ba1f71ac3fd334d1e1b93fbcc25dc86b666125a609c7470b",
+        "", None),
+    "verify_flip_q": (0, "7a5be0d45bf049a0aeca593cdeda67de25467e85945602e1e64e89be06e4eab5",
+        "", None),
+    "verify_flip_q_out": (0, "7a5be0d45bf049a0aeca593cdeda67de25467e85945602e1e64e89be06e4eab5",
+        "", "7a5be0d45bf049a0aeca593cdeda67de25467e85945602e1e64e89be06e4eab5"),
+    "verify_xx1_q": (1, "7e62fba6ea4d104b1c495397fb4c6ac267cb93ba01975c3d5e0be4bc57d58728",
+        "", None),
+}
+
+
 @pytest.fixture
 def inputs(tmp_path, monkeypatch):
     for name, obj in INPUTS.items():
@@ -128,6 +244,7 @@ def inputs(tmp_path, monkeypatch):
 
 def test_every_command_is_pinned():
     assert sorted(COMMANDS) == sorted(DIGESTS)
+    assert sorted(REPORT_COMMANDS) == sorted(REPORT_PINS)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
@@ -135,3 +252,17 @@ def test_stdout_and_exit_code(inputs, capsys, name):
     code = main(COMMANDS[name])
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == DIGESTS[name], out
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_COMMANDS))
+def test_report_stdout_stderr_and_exit_code(inputs, capsys, name):
+    argv, out_file = REPORT_COMMANDS[name]
+    code = main(argv)
+    captured = capsys.readouterr()
+    written = sha256(open(out_file, encoding="utf-8").read()) if out_file else None
+    got = (code, sha256(captured.out), captured.err, written)
+    assert got == REPORT_PINS[name], (got, captured.out)
