@@ -19,8 +19,9 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 
-from .braided import AlgebraData, AxiomReport, BialgebraData, BraidedObject, compare
+from .braided import AlgebraData, AxiomReport, BialgebraData, compare
 from .errors import BadDegree, LinearSolveError, NoFactorization
+from .fields import FieldSpec
 from .matrix import ExactMatrix, kron_power, whisker
 from .primitives import PrimitiveSpace, primitives, primitives_of_tensor
 from .tensoralg import TruncatedTensorBialgebra, build_truncated
@@ -44,7 +45,7 @@ def iterated_product_rightfold(A: AlgebraData, n: int) -> ExactMatrix:
     return A.m * whisker(A.dim, iterated_product_rightfold(A, n - 1), 1)
 
 
-def check_triangles_T_Omega(V: BraidedObject, N: int,
+def check_triangles_T_Omega(field: FieldSpec, N: int,
                             algebras: tuple[AlgebraData, ...] = ()) -> bool:
     """Triangle identities of the free-algebra adjunction, blockwise.
 
@@ -53,14 +54,15 @@ def check_triangles_T_Omega(V: BraidedObject, N: int,
     is the algebra-morphism property of the counit.  On the free side the
     product is concatenation, an identity under the Kronecker
     identification, so that triangle holds by construction and is not
-    checked.  ``V`` supplies the field of the default algebras.
+    checked.  The default algebras are the exterior line and the group
+    algebra of Z/2 over ``field``.
     """
     if N < 2:
         raise BadDegree("need N >= 2 for a nontrivial triangle check")
     if not algebras:
         from .gallery import exterior_line, group_algebra_z2
 
-        algebras = (exterior_line(V.field).algebra, group_algebra_z2(V.field).algebra)
+        algebras = (exterior_line(field).algebra, group_algebra_z2(field).algebra)
     for A in algebras:
         p = iterated_products(A, N)
         if any(p[n] != iterated_product_rightfold(A, n) for n in range(N + 1)):

@@ -1,9 +1,12 @@
 """Batch front door: JSON in, deterministic machine-readable reports out.
 
-Exit status: 0 when every requested check passes, 1 on check failures,
-2 on schema or usage errors.  Identical inputs and seed produce
-byte-identical reports; every report embeds the tool version and the fully
-resolved configuration.
+Each subcommand returns its payload and whether its checks passed; ``main``
+writes the payload to stdout, and to ``--out`` when given, and sets the exit
+status: 0 when every requested check passes, 1 on check failures, 2 on
+schema or usage errors, an unwritable ``--out`` among them.  Identical
+inputs and seed produce byte-identical output.  Every report embeds the tool
+version and its ``config``, the parsed arguments less ``--out``; ``braidrep``
+without ``--out`` prints the bare matrix.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from .adjunctions import (
     check_triangles_Tbar_P,
     check_zeta_coalgebra,
 )
-from .braided import AxiomReport, check_braided_bialgebra, check_yang_baxter
-from .errors import BraidAlgError
+from .braided import AxiomReport, CheckItem, check_braided_bialgebra, check_yang_baxter, compare
+from .braidrep import BraidRepCache
+from .errors import BraidAlgError, SpecViolation
 from .fields import RATIONALS, FieldSpec, prime_field
 from .primitives import primitives, primitives_of_tensor
 from .serialize import (
@@ -88,32 +92,40 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"'--input': {path} is not valid JSON: {exc}") from exc
 
 
-def _report_checks(report: AxiomReport) -> list[dict]:
-    return [
+def _checked(report: dict, rep: AxiomReport) -> tuple[dict, bool]:
+    """``report`` with ``rep`` as its ``checks`` rows and ``passed`` flag."""
+    report["checks"] = [
         {"name": item.name, "passed": item.passed, **({"detail": item.detail} if item.detail else {})}
-        for item in report.items
+        for item in rep.items
     ]
+    report["passed"] = rep.passed
+    return report, rep.passed
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _emit(payload, out_path: str | None) -> None:
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SchemaError(f"'--out': cannot write {out_path}: {exc}") from exc
     sys.stdout.write(text)
 
 
-def _base_report(command: str, config: dict) -> dict:
-    return {"tool": "braidalg", "version": __version__, "command": command, "config": config}
+def _base_report(args) -> dict:
+    """The envelope of a report: ``config`` is the parsed arguments less ``--out``."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "out", "command")}
+    return {"tool": "braidalg", "version": __version__, "command": args.command, "config": config}
 
 
 # -- subcommands -----------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[dict, bool]:
     obj = _load_json(args.input)
     kind = kind_of_input(obj)
-    report = _base_report("verify", {"input": args.input, "seed": args.seed})
+    report = _base_report(args)
     if kind == "braiding":
         V = braiding_from_json(obj)
         rep = check_yang_baxter(V)
@@ -126,20 +138,16 @@ def cmd_verify(args) -> int:
         rep = check_braided_bialgebra(B)
         report["subject"] = "bialgebra"
     else:
-        rep = _verify_build_dump(obj, report)
-    report["checks"] = _report_checks(rep)
-    report["passed"] = rep.passed
-    _emit(report, args.out)
-    return 0 if rep.passed else 1
+        rep = _verify_build_dump(obj)
+        report["subject"] = "build"
+    return _checked(report, rep)
 
 
-def _verify_build_dump(obj: dict, report: dict) -> AxiomReport:
+def _verify_build_dump(obj: dict) -> AxiomReport:
     """Re-parse a build dump, gate its braiding on Yang-Baxter as ``build``
     does, rebuild from it, compare every block bit-exactly, then re-run the
     blockwise axiom suite.  A braiding that fails the gate is reported by the
     gate's items alone: at degree 2 the suite has no hexagon to catch it."""
-    from .braided import compare
-
     V = braiding_from_json(obj)
     degree = obj.get("degree")
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
@@ -148,7 +156,6 @@ def _verify_build_dump(obj: dict, report: dict) -> AxiomReport:
     blocks = obj.get("blocks")
     if not isinstance(blocks, dict):
         raise SchemaError("'blocks' must be an object")
-    report["subject"] = "build"
     gate = check_yang_baxter(V)
     if not gate.passed:
         return gate
@@ -163,39 +170,25 @@ def _verify_build_dump(obj: dict, report: dict) -> AxiomReport:
     return rep
 
 
-def cmd_build(args) -> int:
+def cmd_build(args) -> tuple[dict, bool]:
     _require_degree(args.degree)
-    obj = _load_json(args.input)
-    V = braiding_from_json(obj)
+    V = braiding_from_json(_load_json(args.input))
     _require_size(V.dim, args.degree)
     gate = check_yang_baxter(V)
     if not gate.passed:
-        report = _base_report("build", {"input": args.input, "degree": args.degree,
-                                        "seed": args.seed})
-        report["checks"] = _report_checks(gate)
-        report["passed"] = False
-        _emit(report, args.out)
-        return 1
+        return _checked(_base_report(args), gate)
     T = build_truncated(V, args.degree)
-    blocks = {key: matrix_to_json(block) for key, block in T.named_blocks()}
-    dump = {
-        "tool": "braidalg",
-        "version": __version__,
-        "config": {"input": args.input, "degree": args.degree, "seed": args.seed},
-        **braiding_to_json(V),
-        "degree": args.degree,
-        "blocks": blocks,
-    }
-    _emit(dump, args.out)
-    return 0
+    dump = _base_report(args)
+    del dump["command"]  # a dump is an input file for ``verify``, not a report
+    dump.update(braiding_to_json(V), degree=args.degree,
+                blocks={key: matrix_to_json(block) for key, block in T.named_blocks()})
+    return dump, True
 
 
-def cmd_primitives(args) -> int:
+def cmd_primitives(args) -> tuple[dict, bool]:
     obj = _load_json(args.input)
     kind = kind_of_input(obj)
-    report = _base_report("primitives", {
-        "input": args.input, "degree": args.degree, "seed": args.seed,
-    })
+    report = _base_report(args)
     if kind == "bialgebra":
         B = bialgebra_from_json(obj)
         space = primitives(B)
@@ -208,51 +201,32 @@ def cmd_primitives(args) -> int:
         V = braiding_from_json(obj)
         _require_size(V.dim, args.degree)
         T = build_truncated(V, args.degree)
-        dims = []
-        bases = {}
-        for n in range(1, args.degree + 1):
-            basis = primitives_of_tensor(T, n)
-            dims.append(basis.cols)
-            bases[str(n)] = matrix_to_json(basis)
+        bases = [primitives_of_tensor(T, n) for n in range(1, args.degree + 1)]
         report["subject"] = "graded"
-        report["dims"] = dims
-        report["bases"] = bases
+        report["dims"] = [basis.cols for basis in bases]
+        report["bases"] = {str(n): matrix_to_json(basis) for n, basis in enumerate(bases, 1)}
     else:
         raise SchemaError("primitives expects a braiding or bialgebra input")
-    report["passed"] = True
-    _emit(report, args.out)
-    return 0
+    return {**report, "passed": True}, True
 
 
-def cmd_braidrep(args) -> int:
+def cmd_braidrep(args) -> tuple[dict | list, bool]:
+    """Without ``--out`` the payload is the bare matrix, with no envelope."""
     if args.m < 0 or args.n < 0:
         raise SchemaError(f"'--m'/'--n' must be non-negative, got ({args.m},{args.n})")
-    obj = _load_json(args.input)
-    V = braiding_from_json(obj)
+    V = braiding_from_json(_load_json(args.input))
     _require_size(V.dim, args.m + args.n, "'--m' + '--n'")
     gate = check_yang_baxter(V)
     if not gate.passed:
-        print(f"error: input braiding fails {gate.failures()[0].name}", file=sys.stderr)
-        return 1
-    from .braidrep import BraidRepCache
-
-    block = BraidRepCache(V).block(args.m, args.n)
-    matrix = matrix_to_json(block)
-    if args.out:
-        report = _base_report("braidrep", {
-            "input": args.input, "m": args.m, "n": args.n, "seed": args.seed,
-        })
-        report["matrix"] = matrix
-        report["passed"] = True
-        _emit(report, args.out)
-    else:
-        sys.stdout.write(json.dumps(matrix, indent=2, sort_keys=True) + "\n")
-    return 0
+        raise SpecViolation(f"input braiding fails {gate.failures()[0].name}")
+    matrix = matrix_to_json(BraidRepCache(V).block(args.m, args.n))
+    if not args.out:
+        return matrix, True
+    return {**_base_report(args), "matrix": matrix, "passed": True}, True
 
 
-def cmd_transport(args) -> int:
-    obj = _load_json(args.input)
-    B = bialgebra_from_json(obj)
+def cmd_transport(args) -> tuple[dict, bool]:
+    B = bialgebra_from_json(_load_json(args.input))
     if (args.g is None) == (args.twist is None):
         raise SchemaError("exactly one of '--g' and '--twist' is required")
     if args.g is not None:
@@ -275,20 +249,16 @@ def cmd_transport(args) -> int:
         fdesc = {"kind": "scalar_twist", "scale": args.twist}
     out = transport_bialgebra(F, B, check=False)
     rep = check_braided_bialgebra(out)
-    square = check_primfunct_square(F, B)
-    report = _base_report("transport", {
-        "input": args.input, "functor": fdesc, "seed": args.seed,
-    })
+    rep.add(CheckItem("primitive_square", check_primfunct_square(F, B)))
+    report = _base_report(args)
+    config = report["config"]
+    del config["g"], config["twist"]
+    config["functor"] = fdesc  # the resolved functor, in place of '--g' and '--twist'
     report["bialgebra"] = bialgebra_to_json(out)
-    report["checks"] = _report_checks(rep) + [
-        {"name": "primitive_square", "passed": square},
-    ]
-    report["passed"] = rep.passed and square
-    _emit(report, args.out)
-    return 0 if report["passed"] else 1
+    return _checked(report, rep)
 
 
-def cmd_jcheck(args) -> int:
+def cmd_jcheck(args) -> tuple[dict, bool]:
     _require_degree(args.degree, minimum=2)
     if args.dim < 1:
         raise SchemaError(f"'--dim' must be an integer >= 1, got {args.dim}")
@@ -306,48 +276,27 @@ def cmd_jcheck(args) -> int:
         if len(grading) != args.dim:
             raise SchemaError(f"'--grading' must list {args.dim} parities")
         base = BaseBraiding(SUPER, grading)
-    rep = check_J_compatibility(base, args.dim, args.degree, field)
-    report = _base_report("jcheck", {
-        "base": args.base, "grading": args.grading, "dim": args.dim,
-        "degree": args.degree, "field": args.field, "seed": args.seed,
-    })
-    report["checks"] = _report_checks(rep)
-    report["passed"] = rep.passed
-    _emit(report, args.out)
-    return 0 if rep.passed else 1
+    return _checked(_base_report(args), check_J_compatibility(base, args.dim, args.degree, field))
 
 
-def cmd_adjunction_check(args) -> int:
+def cmd_adjunction_check(args) -> tuple[dict, bool]:
     _require_degree(args.degree, minimum=2)
     V = braiding_from_json(_load_json(args.braiding))
     B = bialgebra_from_json(_load_json(args.bialgebra))
     if V.field != B.field:
         raise SchemaError("'--braiding' and '--bialgebra' must share one field")
     _require_size(max(V.dim, B.dim), args.degree)
-    gate = check_braided_bialgebra(B)
-    rows: list[dict] = []
-    if gate.passed:
+    rep = check_braided_bialgebra(B)
+    if rep.passed:
         w = build_adjunction_witness(B, args.degree)
-        rows.append({"name": "free_forgetful_triangles", "passed": check_triangles_T_Omega(V, args.degree)})
-        rows.extend(_report_checks(check_zeta_coalgebra(w)))
-        rows.append({"name": "zeta_degree1_is_inclusion", "passed": w.zeta_blocks[1] == w.space.inclusion})
-        rows.append({"name": "zeta_degree0_is_unit", "passed": w.zeta_blocks[0] == B.u})
-        rows.append({"name": "tensor_primitive_triangles", "passed": check_triangles_Tbar_P(w)})
-        rows.append({
-            "name": "counit_kills_primitives_exact",
-            "passed": (B.eps * w.space.inclusion).is_zero(),
-        })
-    else:
-        rows.extend(_report_checks(gate))
-    passed = all(r["passed"] for r in rows)
-    report = _base_report("adjunction-check", {
-        "braiding": args.braiding, "bialgebra": args.bialgebra,
-        "degree": args.degree, "seed": args.seed,
-    })
-    report["checks"] = rows
-    report["passed"] = passed
-    _emit(report, args.out)
-    return 0 if passed else 1
+        rep = AxiomReport()
+        rep.add(CheckItem("free_forgetful_triangles", check_triangles_T_Omega(B.field, args.degree)))
+        rep.extend(check_zeta_coalgebra(w))
+        rep.add(CheckItem("zeta_degree1_is_inclusion", w.zeta_blocks[1] == w.space.inclusion))
+        rep.add(CheckItem("zeta_degree0_is_unit", w.zeta_blocks[0] == B.u))
+        rep.add(CheckItem("tensor_primitive_triangles", check_triangles_Tbar_P(w)))
+        rep.add(CheckItem("counit_kills_primitives_exact", (B.eps * w.space.inclusion).is_zero()))
+    return _checked(_base_report(args), rep)
 
 
 # -- argument parsing --------------------------------------------------------
@@ -419,16 +368,17 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, passed = args.func(args)
+        _emit(payload, args.out)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     except BraidAlgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -20,28 +20,23 @@ def matrix_to_json(m: ExactMatrix) -> list[list[str]]:
     return m.to_strings()
 
 
-def matrix_from_json(field: FieldSpec, obj, key: str,
-                     rows: int | None = None, cols: int | None = None) -> ExactMatrix:
+def matrix_from_json(field: FieldSpec, obj, key: str, rows: int, cols: int) -> ExactMatrix:
+    """A ``rows x cols`` matrix; a wrong shape is refused by the constructor."""
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise SchemaError(f"'{key}' must be an array of arrays of scalar strings")
     try:
-        m = ExactMatrix(field, obj, rows=rows if rows is not None else len(obj), cols=cols)
+        return ExactMatrix(field, obj, rows=rows, cols=cols)
     except Exception as exc:
         raise SchemaError(f"'{key}': {exc}") from exc
-    if rows is not None and m.rows != rows:
-        raise SchemaError(f"'{key}' must have {rows} rows, got {m.rows}")
-    if cols is not None and m.cols != cols:
-        raise SchemaError(f"'{key}' must have {cols} columns, got {m.cols}")
-    return m
 
 
-def field_from_json(obj, key: str = "field") -> FieldSpec:
+def field_from_json(obj) -> FieldSpec:
     if not isinstance(obj, dict):
-        raise SchemaError(f"'{key}' must be an object")
+        raise SchemaError("'field' must be an object")
     try:
         return FieldSpec.from_json(obj)
     except ValueError as exc:
-        raise SchemaError(f"'{key}': {exc}") from exc
+        raise SchemaError(f"'field': {exc}") from exc
 
 
 def _require(obj: dict, key: str):

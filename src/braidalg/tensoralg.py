@@ -117,17 +117,13 @@ def build_truncated(V: BraidedObject, N: int) -> TruncatedTensorBialgebra:
     return TruncatedTensorBialgebra(V, N, braid, blocks)
 
 
-def check_truncated_axioms(T: TruncatedTensorBialgebra, N: int | None = None) -> AxiomReport:
-    """Every braided-bialgebra axiom, blockwise, in total degree ``<= N``.
+def check_truncated_axioms(T: TruncatedTensorBialgebra) -> AxiomReport:
+    """Every braided-bialgebra axiom, blockwise, in total degree ``<= T.N``.
 
     Identities quantified over the whole tensor algebra are checked only on
-    degrees ``<= N``; by gradedness this is complete for those degrees.
+    degrees ``<= T.N``; by gradedness this is complete for those degrees.
     """
-    if N is None:
-        N = T.N
-    if N > T.N:
-        raise BadDegree(f"cannot check degree {N} on a truncation at {T.N}")
-    f, d = T.field, T.V.dim
+    f, d, N = T.field, T.V.dim, T.N
     ct = T.braiding_block
     dl = T.coproduct_block
     eps = T.counit_block

@@ -164,12 +164,10 @@ def test_criterion_6_induced_braiding():
 
 def test_criterion_7_adjunction_triangles():
     with budget("7 adjunction triangles"):
-        braided = [flip_braiding(RATIONALS, 2), super_braiding(RATIONALS, (0, 1)),
-                   scalar_braiding(F5, 2)]
         bialgebras = [exterior_line(RATIONALS), group_algebra_z2(RATIONALS),
                       exterior_line(F5), group_algebra_z2(F5)]
-        for V in braided:
-            assert check_triangles_T_Omega(V, 4)
+        for field in (RATIONALS, F5):
+            assert check_triangles_T_Omega(field, 4)
         for B in bialgebras:
             w = build_adjunction_witness(B, 4)
             assert check_zeta_coalgebra(w).passed

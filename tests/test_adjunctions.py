@@ -60,13 +60,13 @@ class TestIteratedProduct:
 
 class TestFreeForgetfulTriangles:
     def test_trivial_scalar(self):
-        assert check_triangles_T_Omega(scalar_braiding(RATIONALS, 1), 3)
+        assert check_triangles_T_Omega(RATIONALS, 3)
 
     def test_flip(self):
-        assert check_triangles_T_Omega(flip_braiding(RATIONALS, 2), 4)
+        assert check_triangles_T_Omega(RATIONALS, 4)
 
     def test_mod_five(self):
-        assert check_triangles_T_Omega(scalar_braiding(F5, 2), 4)
+        assert check_triangles_T_Omega(F5, 4)
 
     def test_corrupted_counit_block_detected(self):
         # negative control: one bumped entry of the product breaks the
@@ -75,9 +75,8 @@ class TestFreeForgetfulTriangles:
         grid = [list(r) for r in A.m.data]
         grid[0][0] = RATIONALS.add(grid[0][0], 1)
         corrupt = AlgebraData(A.field, A.dim, ExactMatrix(RATIONALS, grid), A.u)
-        V = flip_braiding(RATIONALS, 2)
-        assert check_triangles_T_Omega(V, 3, algebras=(A,)) is True
-        assert check_triangles_T_Omega(V, 3, algebras=(corrupt,)) is False
+        assert check_triangles_T_Omega(RATIONALS, 3, algebras=(A,)) is True
+        assert check_triangles_T_Omega(RATIONALS, 3, algebras=(corrupt,)) is False
 
 
 class TestPrimitiveUnit:

@@ -94,6 +94,15 @@ class TestVerify:
         assert captured.out == ""
         assert "'field'" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("out", ["missing/r.json", "."], ids=["no-parent", "directory"])
+    def test_unwritable_out_is_a_schema_error(self, files, capsys, out):
+        code = main(["verify", "--input", files["flip"], "--out", str(files["dir"] / out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("schema error: '--out': cannot write ")
+        assert "Traceback" not in captured.err
+
     def test_determinism(self, files, capsys):
         _, out1 = run(capsys, "verify", "--input", files["flip"])
         _, out2 = run(capsys, "verify", "--input", files["flip"])

@@ -167,6 +167,8 @@ BAD_ARGV = [
     ["adjunction-check", "--braiding", "{ok}", "--bialgebra", "{okb}", "--degree", "1"],
     ["adjunction-check", "--braiding", "{ok}", "--bialgebra", "{okb}", "--degree", "11"],
     ["adjunction-check", "--braiding", "{ok}", "--bialgebra", "{f5}", "--degree", "3"],
+    ["verify", "--input", "{ok}", "--out", "{missing}/r.json"],
+    ["verify", "--input", "{ok}", "--out", "{dir}"],
 ]
 
 
