@@ -102,8 +102,66 @@ def _checked(report: dict, rep: AxiomReport) -> tuple[dict, bool]:
     return report, rep.passed
 
 
+_quote = json.encoder.encode_basestring_ascii  # the C escaper behind json.dumps
+
+
+def _encode(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for the
+    values a report holds: ``dict`` with ``str`` keys, ``list``, ``str``,
+    ``int``, ``bool`` and ``None``, no subclasses.  Anything else raises
+    ``TypeError``.  With ``indent`` set, ``json.dumps`` falls back to its
+    pure-Python encoder; this one escapes in C and writes a matrix row, a
+    list of strings, with one join."""
+    parts = []
+    put = parts.append
+
+    def walk(x, indent):
+        t = type(x)
+        if t is str:
+            put(_quote(x))
+        elif t is int:
+            put(repr(x))
+        elif t is bool:
+            put("true" if x else "false")
+        elif x is None:
+            put("null")
+        elif t is list:
+            if not x:
+                put("[]")
+                return
+            inner = indent + "  "
+            sep = "," + inner
+            if set(map(type, x)) == {str}:  # a matrix row
+                put("[" + inner + sep.join(map(_quote, x)) + indent + "]")
+                return
+            put("[")
+            for i, v in enumerate(x):
+                put(sep if i else inner)
+                walk(v, inner)
+            put(indent + "]")
+        elif t is dict:
+            if not x:
+                put("{}")
+                return
+            if not all(type(k) is str for k in x):
+                raise TypeError("report keys must be str")
+            inner = indent + "  "
+            sep = "," + inner
+            put("{")
+            for i, k in enumerate(sorted(x)):
+                put(sep if i else inner)
+                put(_quote(k) + ": ")
+                walk(x[k], inner)
+            put(indent + "}")
+        else:
+            raise TypeError(f"cannot encode {t.__name__} in a report")
+
+    walk(value, "\n")
+    return "".join(parts)
+
+
 def _emit(payload, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _encode(payload) + "\n"
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
@@ -236,8 +294,7 @@ def cmd_transport(args) -> tuple[dict, bool]:
         field = field_from_json(gobj.get("field", B.field.to_json()))
         if field != B.field:
             raise SchemaError("'g' field must match the bialgebra's field")
-        g = matrix_from_json(field, gobj.get("g") or gobj.get("matrix") or [], "g",
-                             rows=B.dim, cols=B.dim)
+        g = matrix_from_json(field, gobj.get("g"), "g", rows=B.dim, cols=B.dim)
         F = basis_change(g)
         fdesc = {"kind": "basis_change", "g": matrix_to_json(g)}
     else:

@@ -59,10 +59,7 @@ class TestIteratedProduct:
 
 
 class TestFreeForgetfulTriangles:
-    def test_trivial_scalar(self):
-        assert check_triangles_T_Omega(RATIONALS, 3)
-
-    def test_flip(self):
+    def test_rationals(self):
         assert check_triangles_T_Omega(RATIONALS, 4)
 
     def test_mod_five(self):

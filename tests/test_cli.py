@@ -2,9 +2,11 @@ import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidalg import RATIONALS, prime_field
-from braidalg.cli import main
+from braidalg.cli import _encode, main
 from braidalg.gallery import corrupted_flip, exterior_line, flip_braiding, scalar_braiding
 from braidalg.serialize import bialgebra_to_json, braiding_to_json, matrix_to_json
 from braidalg.tensoralg import build_truncated
@@ -349,3 +351,45 @@ class TestSizeBound:
         for dim in ("0", "-3"):
             assert main(["jcheck", "--base", "flip", "--dim", dim, "--degree", "2"]) == 2
         assert "'--dim'" in capsys.readouterr().err
+
+
+# Scalars a report could hold, and some it never does but that the encoder
+# must still write as json.dumps would: escapes, non-ASCII, lone surrogates,
+# booleans beside 0 and 1, and ints far beyond 64 bits.
+REPORT_SCALARS = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "\\\"", "\x00\x1f\x7f", "\n\t\r", "\u00e9\u20ac\U0001f600",
+                     "\u2028", "\ud800", "/"]),
+    st.booleans(),
+    st.integers(-1, 1),
+    st.integers(-(2 ** 200), 2 ** 200),
+    st.just(2 ** 64),
+    st.none(),
+)
+REPORT_VALUES = st.recursive(
+    REPORT_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestEncode:
+    @given(REPORT_VALUES)
+    @example(["a", 1])
+    @example(["a", ["b"]])
+    @example([[], {}, [[]], {"": {}}])
+    @example({"b": True, "a": 1, "c": [False, 0, None]})
+    @example([["1/2", "0", "-3"], ["0", "0", "1"]])
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_json_dumps(self, value):
+        assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [
+        1.5, {"a": [0.0]}, (1, 2), ["a", ("b",)], {1: "a"}, {"a": {None: 1}},
+        type("Name", (str,), {})("x"), ["a", type("Name", (str,), {})("x")],
+        [type("Count", (int,), {})(3)], {"k": set()},
+    ], ids=["float", "nested-float", "tuple", "nested-tuple", "int-key", "none-key",
+            "str-subclass", "str-subclass-in-row", "int-subclass", "set"])
+    def test_refuses_other_types(self, value):
+        with pytest.raises(TypeError):
+            _encode(value)

@@ -125,6 +125,13 @@ def bad_inputs(draw, dump):
     return argv, text
 
 
+# The basis change is read from 'g' alone: an empty 'g', or a file with
+# only some other key holding a valid matrix, is a schema error.
+G_ALIAS_ARGV = [
+    ["transport", "--input", "{okb}", "--g", "{g_empty}"],
+    ["transport", "--input", "{okb}", "--g", "{g_alias}"],
+]
+
 BAD_ARGV = [
     [],
     ["frobnicate"],
@@ -169,6 +176,7 @@ BAD_ARGV = [
     ["adjunction-check", "--braiding", "{ok}", "--bialgebra", "{f5}", "--degree", "3"],
     ["verify", "--input", "{ok}", "--out", "{missing}/r.json"],
     ["verify", "--input", "{ok}", "--out", "{dir}"],
+    *G_ALIAS_ARGV,
 ]
 
 
@@ -176,9 +184,11 @@ BAD_ARGV = [
 def paths(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     out = {"dir": str(root), "missing": str(root / "missing.json"), "f": str(root / "input.json")}
+    g = [["1", "0"], ["1", "1"]]
     for name, obj in (("ok", BRAIDING), ("okb", BIALGEBRA),
                       ("f5", braiding_to_json(flip_braiding(RATIONALS, 1)) | {
-                          "field": {"kind": "prime", "p": 5}})):
+                          "field": {"kind": "prime", "p": 5}}),
+                      ("g_empty", {"g": [], "matrix": g}), ("g_alias", {"matrix": g})):
         out[name] = str(root / f"{name}.json")
         with open(out[name], "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
@@ -220,6 +230,13 @@ def test_malformed_inputs(paths, data):
 @pytest.mark.parametrize("argv", BAD_ARGV, ids=range(len(BAD_ARGV)))
 def test_bad_arguments(paths, argv):
     assert_refused([a.format(**paths) for a in argv])
+
+
+@pytest.mark.parametrize("argv", G_ALIAS_ARGV, ids=["empty-g", "matrix-key"])
+def test_basis_change_is_read_from_g_alone(paths, argv):
+    code, out, err = call([a.format(**paths) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: 'g'"), err
 
 
 GOOD_ARGV = [

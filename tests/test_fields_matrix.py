@@ -19,6 +19,7 @@ from braidalg import (
 from braidalg.fields import MR_BOUND, FieldSpec, is_prime
 from braidalg.matrix import hstack, stack_rows
 from braidalg.gallery import flip_braiding
+from braidalg.serialize import SchemaError, matrix_from_json
 
 from braidalg.braided import compare
 from oracles import (
@@ -552,3 +553,27 @@ class TestSerialization:
     def test_prime_field_strings(self):
         m = mat(F5, [[7, -1]])
         assert m.to_strings() == [["2", "4"]]
+
+    # non-canonical and repeated spellings: each distinct string is parsed
+    # once, and every cell must still be what field.element makes of it
+    @pytest.mark.parametrize("field, grid", [
+        (RATIONALS, [["2/4", "-0", "007", "1/2"], ["1/2", "1/2", "-6/3", "0"], ["-3", "1/2", "007", "2/4"]]),
+        (F5, [["24", "-0", "007", "12"], ["12", "12", "5", "0"], ["-3", "12", "007", "24"]]),
+    ], ids=["Q", "F5"])
+    def test_repeated_spellings_parse_cell_by_cell(self, field, grid):
+        expected = [[field.element(s) for s in row] for row in grid]
+        got = ExactMatrix(field, grid)
+        assert typed_cells(got) == [[(type(x), x) for x in row] for row in expected]
+        assert noncanonical_cells(got) == []
+
+    @pytest.mark.parametrize("field, grid, text", [
+        (RATIONALS, [["1//2", "1//2"], ["x", "1//2"]], "Invalid literal for Fraction: '1//2'"),
+        (RATIONALS, [["1", "x"], ["x", "x"]], "Invalid literal for Fraction: 'x'"),
+        (prime_field(7), [["1//2", "1//2"], ["x", "1//2"]],
+         "invalid literal for int() with base 10: '1//2'"),
+        (prime_field(7), [["1", "x"], ["x", "x"]], "invalid literal for int() with base 10: 'x'"),
+    ], ids=["Q-slashes", "Q-letter", "F7-slashes", "F7-letter"])
+    def test_repeated_bad_cell_names_the_cell(self, field, grid, text):
+        with pytest.raises(SchemaError) as info:
+            matrix_from_json(field, grid, "g", rows=2, cols=2)
+        assert str(info.value) == f"'g': {text}"
