@@ -11,7 +11,6 @@ from braidalg import (
     ExactMatrix,
     NotInvertible,
     RATIONALS,
-    BaseBraiding,
     basis_change,
     check_J_compatibility,
     check_braided_bialgebra,
@@ -21,7 +20,7 @@ from braidalg import (
     scalar_twist,
     transport_bialgebra,
 )
-from braidalg.gallery import exterior_line
+from braidalg.gallery import exterior_line, parity_grid
 
 F5 = prime_field(5)
 
@@ -60,6 +59,6 @@ print("\nrandom changes of basis over F_5 passing the primitive square:", ok, "/
 
 # Base-category symmetries: the braided machinery must reproduce the plain
 # signed block permutations and classical unshuffles.
-rep = check_J_compatibility(BaseBraiding("super", (0, 1)), 2, 4, RATIONALS)
+rep = check_J_compatibility(RATIONALS, parity_grid((0, 1)), 4)
 print("\nsigned-swap base compatibility at truncation 4:", rep.passed,
       f"({len(rep.items)} identities)")

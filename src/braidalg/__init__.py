@@ -77,9 +77,7 @@ from .tensoralg import (
     check_truncated_axioms,
 )
 from .transport import (
-    BaseBraiding,
     FunctorData,
-    J_braiding,
     basis_change,
     check_J_compatibility,
     check_primfunct_square,

@@ -25,8 +25,9 @@ from .adjunctions import (
 )
 from .braided import AxiomReport, CheckItem, check_braided_bialgebra, check_yang_baxter, compare
 from .braidrep import BraidRepCache
-from .errors import BraidAlgError, SpecViolation
+from .errors import BraidAlgError, ShapeError, SpecViolation
 from .fields import RATIONALS, FieldSpec, prime_field
+from .gallery import parity_grid
 from .primitives import primitives, primitives_of_tensor
 from .serialize import (
     SchemaError,
@@ -41,9 +42,6 @@ from .serialize import (
 )
 from .tensoralg import build_truncated, check_truncated_axioms
 from .transport import (
-    FLIP,
-    SUPER,
-    BaseBraiding,
     basis_change,
     check_J_compatibility,
     check_primfunct_square,
@@ -82,14 +80,14 @@ def _require_size(dim: int, degree: int, what: str = "'--degree'") -> None:
         raise SchemaError(f"{what}: {dim}^{degree} is above the size bound {MAX_TENSOR_DIM}")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, flag: str = "--input") -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise SchemaError(f"'--input': cannot read {path}: {exc}") from exc
+        raise SchemaError(f"'{flag}': cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise SchemaError(f"'--input': {path} is not valid JSON: {exc}") from exc
+        raise SchemaError(f"'{flag}': {path} is not valid JSON: {exc}") from exc
 
 
 def _checked(report: dict, rep: AxiomReport) -> tuple[dict, bool]:
@@ -288,7 +286,7 @@ def cmd_transport(args) -> tuple[dict, bool]:
     if (args.g is None) == (args.twist is None):
         raise SchemaError("exactly one of '--g' and '--twist' is required")
     if args.g is not None:
-        gobj = _load_json(args.g)
+        gobj = _load_json(args.g, "--g")
         if not isinstance(gobj, dict):
             raise SchemaError("'--g' must hold a JSON object")
         field = field_from_json(gobj.get("field", B.field.to_json()))
@@ -321,8 +319,10 @@ def cmd_jcheck(args) -> tuple[dict, bool]:
         raise SchemaError(f"'--dim' must be an integer >= 1, got {args.dim}")
     _require_size(args.dim, args.degree)
     field = _parse_field(args.field)
-    if args.base == FLIP:
-        base = BaseBraiding(FLIP)
+    if args.base == "flip":
+        if args.grading is not None:
+            raise SchemaError("'--grading' applies only to the super base")
+        grading = (0,) * args.dim  # the flip is the all-even super braiding
     else:
         if not args.grading:
             raise SchemaError("'--grading' is required for the super base")
@@ -332,14 +332,17 @@ def cmd_jcheck(args) -> tuple[dict, bool]:
             raise SchemaError(f"'--grading': {exc}") from exc
         if len(grading) != args.dim:
             raise SchemaError(f"'--grading' must list {args.dim} parities")
-        base = BaseBraiding(SUPER, grading)
-    return _checked(_base_report(args), check_J_compatibility(base, args.dim, args.degree, field))
+    try:
+        grid = parity_grid(grading)
+    except ShapeError as exc:
+        raise SchemaError(f"'--grading': {exc}") from exc
+    return _checked(_base_report(args), check_J_compatibility(field, grid, args.degree))
 
 
 def cmd_adjunction_check(args) -> tuple[dict, bool]:
     _require_degree(args.degree, minimum=2)
-    V = braiding_from_json(_load_json(args.braiding))
-    B = bialgebra_from_json(_load_json(args.bialgebra))
+    V = braiding_from_json(_load_json(args.braiding, "--braiding"))
+    B = bialgebra_from_json(_load_json(args.bialgebra, "--bialgebra"))
     if V.field != B.field:
         raise SchemaError("'--braiding' and '--bialgebra' must share one field")
     _require_size(max(V.dim, B.dim), args.degree)
@@ -406,7 +409,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transport)
 
     p = sub.add_parser("jcheck", help="base-symmetry compatibility checks")
-    p.add_argument("--base", choices=[FLIP, SUPER], required=True)
+    p.add_argument("--base", choices=["flip", "super"], required=True)
     p.add_argument("--grading", help="comma-separated parities (super)")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)

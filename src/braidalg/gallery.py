@@ -3,27 +3,34 @@
 from __future__ import annotations
 
 from .braided import BialgebraData, BraidedObject
-from .errors import NotInvertible, ShapeError
+from .errors import ShapeError
 from .fields import RATIONALS, FieldSpec, prime_field
 from .matrix import ExactMatrix
-from .transport import FLIP, SUPER, BaseBraiding, J_braiding
+from .transport import direct_power_braiding
 
 
 def flip_braiding(field: FieldSpec, dim: int) -> BraidedObject:
     """The plain swap ``v ⊗ w -> w ⊗ v``."""
-    return J_braiding(BaseBraiding(FLIP), dim, field)
+    return diagonal_twist_braiding(field, [[1] * dim] * dim)
+
+
+def parity_grid(grading) -> list[list[int]]:
+    """The grid of the parity-signed swap: ``q_ij = -1`` when ``e_i`` and
+    ``e_j`` are both odd, else 1."""
+    grading = tuple(grading)
+    if not set(grading) <= {0, 1}:
+        raise ShapeError(f"parities must be 0 or 1, got {grading!r}")
+    return [[-1 if a and b else 1 for b in grading] for a in grading]
 
 
 def super_braiding(field: FieldSpec, grading) -> BraidedObject:
     """The parity-signed swap for the given 0/1 grading vector."""
-    grading = tuple(grading)
-    return J_braiding(BaseBraiding(SUPER, grading), len(grading), field)
+    return diagonal_twist_braiding(field, parity_grid(grading))
 
 
 def scalar_braiding(field: FieldSpec, q) -> BraidedObject:
     """Dimension 1 with braiding multiplication by a nonzero scalar."""
-    c = ExactMatrix(field, [[q]])
-    return BraidedObject.from_c(field, 1, c)
+    return diagonal_twist_braiding(field, [[q]])
 
 
 def diagonal_twist_braiding(field: FieldSpec, coeffs) -> BraidedObject:
@@ -31,21 +38,10 @@ def diagonal_twist_braiding(field: FieldSpec, coeffs) -> BraidedObject:
 
     Always a Yang-Baxter solution (each side of the equation picks up the
     same three coefficients), and generally NOT a symmetry: the square maps
-    ``e_i ⊗ e_j`` to ``q_ij q_ji e_i ⊗ e_j``.
+    ``e_i ⊗ e_j`` to ``q_ij q_ji e_i ⊗ e_j``.  The flip, super and scalar
+    braidings are such grids.
     """
-    dim = len(coeffs)
-    rows = [{} for _ in range(dim * dim)]
-    for i in range(dim):
-        row = coeffs[i]
-        if len(row) != dim:
-            raise ShapeError("coefficient grid must be square")
-        for j in range(dim):
-            q = field.element(row[j])
-            if q == field.zero:
-                raise NotInvertible("twist coefficients must be nonzero")
-            rows[j * dim + i][i * dim + j] = q
-    c = ExactMatrix._raw(field, rows, dim * dim, dim * dim)
-    return BraidedObject.from_c(field, dim, c)
+    return BraidedObject.from_c(field, len(coeffs), direct_power_braiding(field, coeffs, 1, 1))
 
 
 def corrupted_flip(field: FieldSpec, dim: int = 2) -> BraidedObject:

@@ -10,13 +10,18 @@ Two concrete functor families cover the two interesting behaviours:
   ``λ^{-1}·id``, which exercises the comparison-map bookkeeping with a
   nontrivial value.
 
-The base-category braidings are the two standard symmetries on a space with
-a chosen basis: the flip, and the parity-signed flip.
+A base-category braiding is diagonal, ``e_i ⊗ e_j -> q_ij e_j ⊗ e_i`` for a
+square grid ``q`` of nonzero scalars: the flip is the all-ones grid, and the
+parity-signed flip puts ``-1`` where both indices are odd.  When the grid is
+a symmetry, ``check_J_compatibility`` compares the braided tensor bialgebra
+with the direct block transpositions and quantum unshuffles of the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from math import prod
 
 from .braided import (
     AxiomReport,
@@ -167,59 +172,34 @@ def check_primfunct_square(F: FunctorData, B: BialgebraData) -> bool:
     return lhs == rhs
 
 
-# -- symmetric base braidings -------------------------------------------------
-
-FLIP = "flip"
-SUPER = "super"
+# -- diagonal base braidings -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaseBraiding:
-    """A symmetry of the whole base category: flip, or parity-signed flip."""
-
-    kind: str
-    grading: tuple[int, ...] | None = None  # parities, super only
-
-    def sign(self, parity_a: int, parity_b: int):
-        if self.kind == SUPER and parity_a % 2 == 1 and parity_b % 2 == 1:
-            return -1
-        return 1
+def _grid(field: FieldSpec, q) -> list[list]:
+    """``q`` as a square grid of nonzero canonical scalars."""
+    grid = [[field.element(x) for x in row] for row in q]
+    if any(len(row) != len(grid) for row in grid):
+        raise ShapeError("coefficient grid must be square")
+    if any(x == field.zero for row in grid for x in row):
+        raise NotInvertible("twist coefficients must be nonzero")
+    return grid
 
 
-def _parities(base: BaseBraiding, dim: int) -> list[int]:
-    if base.kind == FLIP:
-        return [0] * dim
-    if base.grading is None or len(base.grading) != dim:
-        raise ShapeError(f"grading of length {dim} required, got {base.grading!r}")
-    return [p % 2 for p in base.grading]
-
-
-def J_braiding(base: BaseBraiding, dim: int, field: FieldSpec) -> BraidedObject:
-    """The braided object carried by the base symmetry on a ``dim``-space."""
-    return BraidedObject.from_c(field, dim, direct_power_braiding(base, dim, field, 1, 1))
-
-
-def direct_power_braiding(base: BaseBraiding, dim: int, field: FieldSpec,
-                          m: int, n: int) -> ExactMatrix:
-    """The base symmetry evaluated directly on ``V^{⊗m} ⊗ V^{⊗n}``: the
-    (signed) block transposition, computed without any recursion."""
-    par = _parities(base, dim)
+def direct_power_braiding(field: FieldSpec, q, m: int, n: int) -> ExactMatrix:
+    """The diagonal braiding of the grid ``q`` evaluated directly on
+    ``V^{⊗m} ⊗ V^{⊗n}``: ``e_I ⊗ e_J -> (Π_{a∈I, b∈J} q_ab) e_J ⊗ e_I``,
+    computed without any recursion."""
+    q = _grid(field, q)
+    dim = len(q)
     size = dim ** (m + n)
     out = [None] * size
     for I in range(dim ** m):
-        pI = _tensor_parity(I, m, dim, par)
+        front = _digits(I, m, dim)
+        weight = [prod(q[a][b] for a in front) for b in range(dim)]  # Π_{a∈I} q_ab
         for J in range(dim ** n):
-            pJ = _tensor_parity(J, n, dim, par)
-            out[J * (dim ** m) + I] = {I * (dim ** n) + J: field.element(base.sign(pI, pJ))}
+            coeff = prod(weight[b] for b in _digits(J, n, dim))
+            out[J * (dim ** m) + I] = {I * (dim ** n) + J: field.element(coeff)}
     return ExactMatrix._raw(field, out, size, size)
-
-
-def _tensor_parity(flat: int, length: int, dim: int, par: list[int]) -> int:
-    total = 0
-    for _ in range(length):
-        flat, digit = divmod(flat, dim)
-        total += par[digit]
-    return total % 2
 
 
 def _digits(flat: int, length: int, dim: int) -> list[int]:
@@ -229,59 +209,47 @@ def _digits(flat: int, length: int, dim: int) -> list[int]:
     return out
 
 
-def classical_unshuffle_block(base: BaseBraiding, dim: int, field: FieldSpec,
-                              k: int, n: int) -> ExactMatrix:
-    """The ``(k, n-k)`` coproduct block of the tensor bialgebra over a
-    symmetric base, computed as the classical signed unshuffle sum.
+def classical_unshuffle_block(field: FieldSpec, q, k: int, n: int) -> ExactMatrix:
+    """The ``(k, n-k)`` coproduct block of the tensor bialgebra of the
+    diagonal braiding ``q``, computed as the quantum unshuffle sum (Rosso,
+    *Invent. Math.* 133, 1998).
 
     Independent of the braided recursion: for every basis tensor and every
-    ``k``-subset of positions, the moved-to-front subtensor picks up one sign
-    factor per inversion of an odd pair.
+    ``k``-subset of positions moved to the front, the term picks up
+    ``q_{digit(a), digit(b)}`` for each back position ``a`` that comes
+    before a front position ``b``.
     """
-    from itertools import combinations
-
+    q = _grid(field, q)
+    dim = len(q)
     size = dim ** n
     out = [{} for _ in range(size)]
-    par = _parities(base, dim)
     for col in range(size):
         digits = _digits(col, n, dim)
-        for subset in combinations(range(n), k):
-            in_subset = [False] * n
-            for s in subset:
-                in_subset[s] = True
-            front = [digits[s] for s in subset]
-            back = [digits[t] for t in range(n) if not in_subset[t]]
-            sign = 1
-            if base.kind == SUPER:
-                for b in subset:
-                    for a in range(b):
-                        if not in_subset[a] and par[digits[a]] == 1 and par[digits[b]] == 1:
-                            sign = -sign
+        for front in combinations(range(n), k):
+            back = [a for a in range(n) if a not in front]
+            coeff = prod(q[digits[a]][digits[b]] for b in front for a in back if a < b)
             row = 0
-            for digit in front + back:
-                row = row * dim + digit
-            out[row][col] = out[row].get(col, 0) + sign
-    # super signs can cancel, and a sum can vanish mod p
+            for pos in (*front, *back):
+                row = row * dim + digits[pos]
+            out[row][col] = out[row].get(col, 0) + coeff
+    # terms can cancel, and a sum can vanish mod p
     cells = ({c: y for c, x in row.items() if (y := field.element(x))} for row in out)
     return ExactMatrix._raw(field, cells, size, size)
 
 
-def check_J_compatibility(base: BaseBraiding, dim: int, N: int,
-                          field: FieldSpec,
-                          V: BraidedObject | None = None) -> AxiomReport:
-    """Consistency of the braided constructions with the base symmetry:
+def check_J_compatibility(field: FieldSpec, q, N: int) -> AxiomReport:
+    """Consistency of the braided constructions with the diagonal braiding
+    of the grid ``q`` as a symmetry of the base category:
 
+    * the braiding squares to the identity; a grid with some
+      ``q_ij q_ji != 1`` fails this gate and no further check runs;
     * every exchange-operator block equals the direct block transposition;
-    * every coproduct block equals the classical signed unshuffle sum, and
-      the degreewise primitive inclusions computed from either description
+    * every coproduct block equals the quantum unshuffle sum, and the
+      degreewise primitive inclusions computed from either description
       coincide.
-
-    ``V`` overrides the object built from ``base``; a non-symmetric braiding
-    fed in this way is rejected by the squared-braiding gate before any
-    further checks run.
     """
-    if V is None:
-        V = J_braiding(base, dim, field)
+    dim = len(q)
+    V = BraidedObject.from_c(field, dim, direct_power_braiding(field, q, 1, 1))
     sq = V.c * V.c
     report = AxiomReport()
     report.add(compare("symmetry", sq, ExactMatrix.identity(field, dim * dim)))
@@ -293,9 +261,9 @@ def check_J_compatibility(base: BaseBraiding, dim: int, N: int,
             report.add(compare(
                 f"block_transposition[{m},{n}]",
                 T.braiding_block(m, n),
-                direct_power_braiding(base, dim, field, m, n),
+                direct_power_braiding(field, q, m, n),
             ))
-    classical = {n: [classical_unshuffle_block(base, dim, field, k, n) for k in range(n + 1)]
+    classical = {n: [classical_unshuffle_block(field, q, k, n) for k in range(n + 1)]
                  for n in range(1, N + 1)}
     for n, blocks in classical.items():
         for k, block in enumerate(blocks):

@@ -36,14 +36,16 @@ from braidalg.gallery import (
     all_gradings,
     braiding_gallery,
     corrupted_flip,
+    diagonal_twist_braiding,
     exterior_line,
     flip_braiding,
     group_algebra_z2,
+    parity_grid,
     scalar_braiding,
     super_braiding,
 )
 from braidalg.serialize import bialgebra_to_json, braiding_to_json
-from braidalg.transport import FLIP, SUPER, BaseBraiding, direct_power_braiding
+from braidalg.transport import direct_power_braiding
 
 from oracles import gaussian_binomial, witt_dimension
 
@@ -197,20 +199,17 @@ def test_criterion_8_transport_coherence():
 
 def test_criterion_9_j_compatibility():
     with budget("9 J compatibility"):
-        cases = []
+        grids = []
         for d in (1, 2):
-            cases.append((BaseBraiding(FLIP), d))
+            grids.append([[1] * d] * d)
             for grading in all_gradings(d):
-                cases.append((BaseBraiding(SUPER, grading), d))
-        for base, d in cases:
-            from braidalg.transport import J_braiding
-
-            V = J_braiding(base, d, RATIONALS)
-            cache = BraidRepCache(V)
+                grids.append(parity_grid(grading))
+        for grid in grids:
+            cache = BraidRepCache(diagonal_twist_braiding(RATIONALS, grid))
             for m in range(6):
                 for n in range(6 - m):
-                    assert cache.block(m, n) == direct_power_braiding(base, d, RATIONALS, m, n), \
-                        (base.kind, base.grading, d, m, n)
+                    assert cache.block(m, n) == direct_power_braiding(RATIONALS, grid, m, n), \
+                        (grid, m, n)
 
 
 def test_criterion_10_cli_determinism_roundtrip(tmp_path, capsys):

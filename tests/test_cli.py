@@ -252,6 +252,14 @@ class TestJCheckAndAdjunction:
         assert main(["jcheck", "--base", "super", "--grading", "0",
                      "--dim", "2", "--degree", "3"]) == 2
 
+    @pytest.mark.parametrize("base, grading, message", [
+        ("flip", "1,1", "'--grading' applies only to the super base"),
+        ("super", "0,2", "'--grading': parities must be 0 or 1, got (0, 2)"),
+    ], ids=["flip-with-grading", "parity-2"])
+    def test_jcheck_grading_is_validated(self, capsys, base, grading, message):
+        code = main(["jcheck", "--base", base, "--grading", grading, "--dim", "2", "--degree", "3"])
+        assert (code, *capsys.readouterr()) == (2, "", f"schema error: {message}\n")
+
     def test_adjunction_check(self, files, capsys):
         code, out = run(capsys, "adjunction-check", "--braiding", files["flip"],
                         "--bialgebra", files["ext"], "--degree", "3")
@@ -266,6 +274,36 @@ class TestJCheckAndAdjunction:
         target = files["dir"] / "report.json"
         _, out = run(capsys, "verify", "--input", files["flip"], "--out", str(target))
         assert target.read_text() == out
+
+
+class TestLoadErrors:
+    """A file that cannot be read, or is not JSON, is a schema error that
+    names the flag which gave it."""
+
+    ARGV = {
+        "--g": ["transport", "--input", "ext.json", "--g", "{}"],
+        "--braiding": ["adjunction-check", "--braiding", "{}", "--bialgebra", "ext.json",
+                       "--degree", "2"],
+        "--bialgebra": ["adjunction-check", "--braiding", "flip.json", "--bialgebra", "{}",
+                        "--degree", "2"],
+    }
+
+    @pytest.mark.parametrize("flag", sorted(ARGV))
+    def test_bad_json(self, files, capsys, monkeypatch, flag):
+        monkeypatch.chdir(files["dir"])
+        (files["dir"] / "junk.json").write_text("not json")
+        code = main([a.format("junk.json") for a in self.ARGV[flag]])
+        assert (code, *capsys.readouterr()) == (2, "", (
+            f"schema error: '{flag}': junk.json is not valid JSON: "
+            "Expecting value: line 1 column 1 (char 0)\n"))
+
+    @pytest.mark.parametrize("flag", sorted(ARGV))
+    def test_missing_file(self, files, capsys, monkeypatch, flag):
+        monkeypatch.chdir(files["dir"])
+        code = main([a.format("missing.json") for a in self.ARGV[flag]])
+        assert (code, *capsys.readouterr()) == (2, "", (
+            f"schema error: '{flag}': cannot read missing.json: "
+            "[Errno 2] No such file or directory: 'missing.json'\n"))
 
 
 class Reached(Exception):

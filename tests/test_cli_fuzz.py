@@ -170,6 +170,8 @@ BAD_ARGV = [
     ["jcheck", "--base", "super", "--dim", "2", "--degree", "3"],
     ["jcheck", "--base", "super", "--grading", "0", "--dim", "2", "--degree", "3"],
     ["jcheck", "--base", "super", "--grading", "a,b", "--dim", "2", "--degree", "3"],
+    ["jcheck", "--base", "flip", "--grading", "1,1", "--dim", "2", "--degree", "3"],
+    ["jcheck", "--base", "super", "--grading", "0,2", "--dim", "2", "--degree", "3"],
     ["adjunction-check", "--braiding", "{ok}", "--bialgebra", "{ok}", "--degree", "3"],
     ["adjunction-check", "--braiding", "{ok}", "--bialgebra", "{okb}", "--degree", "1"],
     ["adjunction-check", "--braiding", "{ok}", "--bialgebra", "{okb}", "--degree", "11"],

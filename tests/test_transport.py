@@ -4,10 +4,10 @@ import pytest
 
 from braidalg import (
     RATIONALS,
-    BaseBraiding,
     BialgebraData,
+    BraidedObject,
+    BraidRepCache,
     ExactMatrix,
-    J_braiding,
     NotInvertible,
     ShapeError,
     basis_change,
@@ -16,6 +16,7 @@ from braidalg import (
     check_braided_bialgebra,
     check_primfunct_square,
     check_twist_coherence,
+    classical_unshuffle_block,
     compose_functors,
     direct_power_braiding,
     prime_field,
@@ -26,17 +27,19 @@ from braidalg import (
 )
 from braidalg.gallery import (
     all_gradings,
+    diagonal_twist_braiding,
     exterior_line,
     flip_braiding,
     group_algebra_z2,
+    parity_grid,
     scalar_braiding,
     super_braiding,
 )
-from braidalg.transport import FLIP, SUPER
 
-from oracles import block_transposition
+from oracles import block_transposition, noncanonical_cells
 
 F5 = prime_field(5)
+F7 = prime_field(7)
 
 
 def random_invertible(rng, field, n):
@@ -169,36 +172,42 @@ class TestPrimitiveSquare:
             assert tensor_primitive_dims(build_truncated(moved, 4)) == base_dims
 
 
+FLIP2 = [[1, 1], [1, 1]]
+
+
 class TestBaseSymmetries:
     def test_flip_matrix_positions(self):
-        V = J_braiding(BaseBraiding(FLIP), 2, RATIONALS)
-        ones = {(i, j) for i in range(4) for j in range(4) if V.c[i, j] != 0}
+        c = direct_power_braiding(RATIONALS, FLIP2, 1, 1)
+        ones = {(i, j) for i in range(4) for j in range(4) if c[i, j] != 0}
         assert ones == {(0, 0), (2, 1), (1, 2), (3, 3)}
-        assert all(V.c[i, j] == 1 for i, j in ones)
+        assert all(c[i, j] == 1 for i, j in ones)
 
     def test_super_line(self):
-        V = J_braiding(BaseBraiding(SUPER, (1,)), 1, RATIONALS)
-        assert V.c == ExactMatrix(RATIONALS, [[-1]])
+        assert parity_grid((1,)) == [[-1]]
+        assert direct_power_braiding(RATIONALS, [[-1]], 1, 1) == ExactMatrix(RATIONALS, [[-1]])
 
     def test_super_d2_sign_pattern(self):
-        V = J_braiding(BaseBraiding(SUPER, (0, 1)), 2, RATIONALS)
-        flip = J_braiding(BaseBraiding(FLIP), 2, RATIONALS)
-        diff = V.c - flip.c
+        c = direct_power_braiding(RATIONALS, parity_grid((0, 1)), 1, 1)
+        diff = c - direct_power_braiding(RATIONALS, FLIP2, 1, 1)
         # only the odd⊗odd entry flips sign: e2⊗e2 at flat position (3,3)
         assert diff == ExactMatrix(RATIONALS, [[0, 0, 0, 0], [0, 0, 0, 0],
                                                [0, 0, 0, 0], [0, 0, 0, -2]])
 
-    def test_grading_length_gate(self):
+    def test_malformed_grids_rejected(self):
         with pytest.raises(ShapeError):
-            J_braiding(BaseBraiding(SUPER, (0, 1)), 3, RATIONALS)
+            direct_power_braiding(RATIONALS, [[1, 1], [1]], 1, 1)
+        with pytest.raises(NotInvertible):
+            direct_power_braiding(F5, [[1, 5], [1, 1]], 1, 1)
+        with pytest.raises(ShapeError):
+            parity_grid((0, 2))
 
     def test_direct_power_matches_oracle(self):
         for m in range(3):
             for n in range(3):
-                got = direct_power_braiding(BaseBraiding(FLIP), 2, RATIONALS, m, n)
+                got = direct_power_braiding(RATIONALS, FLIP2, m, n)
                 assert got == ExactMatrix(RATIONALS, block_transposition(2, m, n)) \
                     if m + n else got == ExactMatrix.identity(RATIONALS, 1)
-                got = direct_power_braiding(BaseBraiding(SUPER, (0, 1)), 2, RATIONALS, m, n)
+                got = direct_power_braiding(RATIONALS, parity_grid((0, 1)), m, n)
                 expected = block_transposition(2, m, n, parities=(0, 1))
                 assert got == ExactMatrix(RATIONALS, expected) if m + n \
                     else got == ExactMatrix.identity(RATIONALS, 1)
@@ -207,21 +216,72 @@ class TestBaseSymmetries:
 class TestJCompatibility:
     def test_flip_and_super_dims_up_to_two(self):
         for d in (1, 2):
-            assert check_J_compatibility(BaseBraiding(FLIP), d, 4, RATIONALS).passed
+            assert check_J_compatibility(RATIONALS, [[1] * d] * d, 4).passed
             for grading in all_gradings(d):
-                assert check_J_compatibility(BaseBraiding(SUPER, grading), d, 4, RATIONALS).passed
+                assert check_J_compatibility(RATIONALS, parity_grid(grading), 4).passed
 
     def test_dimension_three_full_depth(self):
-        assert check_J_compatibility(BaseBraiding(FLIP), 3, 4, RATIONALS).passed
+        assert check_J_compatibility(RATIONALS, [[1] * 3] * 3, 4).passed
         for grading in all_gradings(3):
-            assert check_J_compatibility(BaseBraiding(SUPER, grading), 3, 4, RATIONALS).passed, grading
+            assert check_J_compatibility(RATIONALS, parity_grid(grading), 4).passed, grading
 
     def test_over_prime_field(self):
-        assert check_J_compatibility(BaseBraiding(SUPER, (0, 1)), 2, 3, F5).passed
+        assert check_J_compatibility(F5, parity_grid((0, 1)), 3).passed
 
     def test_non_symmetric_braiding_rejected_by_gate(self):
-        rep = check_J_compatibility(BaseBraiding(FLIP), 1, 3, RATIONALS,
-                                    V=scalar_braiding(RATIONALS, 2))
+        rep = check_J_compatibility(RATIONALS, [[2]], 3)
         assert not rep.passed
         assert rep.items[0].name == "symmetry"
         assert len(rep.items) == 1  # nothing else ran
+
+
+# Diagonal grids, most of them not symmetries: flip d=2, super (0,1,1), the
+# scalar q=2 over Q and over F_7, two twists and a 3x3 grid.  (field, grid, N)
+GRIDS = {
+    "flip_d2_Q": (RATIONALS, FLIP2, 5),
+    "super_011_Q": (RATIONALS, parity_grid((0, 1, 1)), 4),
+    "q2_Q": (RATIONALS, [[2]], 5),
+    "q2_F7": (F7, [[2]], 5),
+    "twist_F7": (F7, [[2, 3], [5, 6]], 5),
+    "twist_Q": (RATIONALS, [["1/2", 2], ["2/3", 3]], 5),
+    "grid3_Q": (RATIONALS, [[1, 2, 3], [4, 5, 6], [7, 8, 9]], 4),
+}
+
+
+def dense_grid_braiding(field, grid):
+    """``e_i ⊗ e_j -> q_ij e_j ⊗ e_i`` written out cell by cell, apart from
+    the library's own builder."""
+    d = len(grid)
+    rows = [[0] * (d * d) for _ in range(d * d)]
+    for i in range(d):
+        for j in range(d):
+            rows[j * d + i][i * d + j] = grid[i][j]
+    return BraidedObject.from_c(field, d, ExactMatrix(field, rows))
+
+
+@pytest.mark.parametrize("name", sorted(GRIDS))
+class TestQuantumShuffleOracle:
+    """The quantum unshuffle sum and the direct block transposition of a grid
+    against the braided recursion, for braidings that need not square to 1."""
+
+    def test_builder_matches_dense_grid(self, name):
+        field, grid, _ = GRIDS[name]
+        assert diagonal_twist_braiding(field, grid) == dense_grid_braiding(field, grid)
+
+    def test_unshuffle_matches_coproduct_blocks(self, name):
+        field, grid, N = GRIDS[name]
+        T = build_truncated(dense_grid_braiding(field, grid), N)
+        for n in range(1, N + 1):
+            for k in range(n + 1):
+                block = classical_unshuffle_block(field, grid, k, n)
+                assert block == T.coproduct_block(k, n), (k, n)
+                assert noncanonical_cells(block) == [], (k, n)
+
+    def test_direct_power_matches_braid_cache(self, name):
+        field, grid, N = GRIDS[name]
+        cache = BraidRepCache(dense_grid_braiding(field, grid))
+        for m in range(N + 1):
+            for n in range(N + 1 - m):
+                block = direct_power_braiding(field, grid, m, n)
+                assert block == cache.block(m, n), (m, n)
+                assert noncanonical_cells(block) == [], (m, n)
