@@ -167,6 +167,7 @@ REPORT_COMMANDS = {
     "build_bad_q_n2": (["build", "--input", "bad_q.json", "--degree", "2"], None),
     "primitives_flip_q_n4": (["primitives", "--input", "flip_q.json", "--degree", "4"], None),
     "primitives_super_f5_n3": (["primitives", "--input", "super_f5.json", "--degree", "3"], None),
+    "primitives_bad_q_n3": (["primitives", "--input", "bad_q.json", "--degree", "3"], None),
     "primitives_ext_q": (["primitives", "--input", "ext_q.json"], None),
     "primitives_z2_f5": (["primitives", "--input", "z2_f5.json"], None),
     "primitives_xx1_q": (["primitives", "--input", "xx1_q.json"], None),
@@ -195,6 +196,8 @@ REPORT_PINS = {
     "build_flip_f5_n3_out": (0, "0d1063580904af018b52c35e899d69fd75a583ac62e12d4adbd0787e2daf525f",
         "", "0d1063580904af018b52c35e899d69fd75a583ac62e12d4adbd0787e2daf525f"),
     "build_flip_q_n2": (0, "4c8129b64bb15063880772aa82d80816d16bc416da575b84dc3333ca07831700",
+        "", None),
+    "primitives_bad_q_n3": (0, "29ce313877af3f3f50a4735386a8bf04a253237d30bc05f46af86d77310c101c",
         "", None),
     "primitives_ext_q": (0, "902e7973e21ba1d4f63020048e78dae89c3a7477067de16929fe082bf3c77735",
         "", None),
