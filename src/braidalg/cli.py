@@ -256,6 +256,9 @@ def cmd_primitives(args) -> tuple[dict, bool]:
         _require_degree(args.degree)
         V = braiding_from_json(obj)
         _require_size(V.dim, args.degree)
+        gate = check_yang_baxter(V)
+        if not gate.passed:
+            return _checked(report, gate)
         T = build_truncated(V, args.degree)
         bases = [primitives_of_tensor(T, n) for n in range(1, args.degree + 1)]
         report["subject"] = "graded"

@@ -31,7 +31,7 @@ from .errors import (
     SpecViolation,
 )
 from .fields import FieldSpec
-from .matrix import ExactMatrix, stack_rows, whisker
+from .matrix import ExactMatrix, whisker
 from .tensoralg import TruncatedTensorBialgebra
 
 
@@ -146,14 +146,31 @@ def primitives_of_tensor(T: TruncatedTensorBialgebra, n: int) -> ExactMatrix:
     """Canonical basis of the degree-``n`` primitives, as columns in ``V^{⊗n}``.
 
     The extreme coproduct blocks are identities and cancel against the two
-    unit summands, so degree-``n`` primitivity is exactly the vanishing of
-    the interior blocks; the kernel of their stack is returned.
+    unit summands, so degree-``n`` primitivity is the vanishing of the
+    interior blocks ``Δ_{k,n-k}``.  ``T.V.c`` must satisfy Yang-Baxter, so
+    that ``T`` is coassociative: then once ``Δ_{i,n-i} x = 0`` for all
+    ``i < k``, ``Δ_{k,n-k} x`` lies in ``P_k ⊗ V^{⊗(n-k)}``, and it vanishes
+    iff its rows at the leading coordinates of the basis of ``P_k`` do.  Only
+    those rows are stacked; by induction the kernel is the full stack's.
     """
     if not (1 <= n <= T.N):
         raise BadDegree(f"degree {n} outside 1..{T.N}")
-    interior = [T.coproduct_block(k, n) for k in range(1, n)]
-    stacked = stack_rows(interior, T.field, T.component_dim(n))
-    return stacked.nullspace()
+    return _tensor_primitives(T, n)[0]
+
+
+def _tensor_primitives(T: TruncatedTensorBialgebra, n: int) -> tuple[ExactMatrix, list[int]]:
+    """``(ξ_n, leads)``, memoized on ``T``: the canonical primitive basis and
+    the leading (first nonzero) row of each of its columns."""
+    memo = T._primitive_memo
+    if n not in memo:
+        rows = []  # shared slices: the rows u ⊗ V^{⊗(n-k)} for each lead u of ξ_k
+        for k in range(1, n):
+            block, right = T.coproduct_block(k, n).nonzeros, T.component_dim(n - k)
+            for u in _tensor_primitives(T, k)[1]:
+                rows.extend(block[u * right:(u + 1) * right])
+        xi = ExactMatrix._raw(T.field, rows, len(rows), T.component_dim(n)).nullspace()
+        memo[n] = xi, [min(col) for col in xi.transpose().nonzeros]
+    return memo[n]
 
 
 def tensor_primitive_dims(T: TruncatedTensorBialgebra) -> list[int]:

@@ -14,7 +14,7 @@ blocks, and building with ``N`` or ``N+1`` gives identical shared blocks.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import reduce
 
 from .braided import AxiomReport, BraidedObject, compare, coproduct_braids, hexagon, mirror
@@ -31,6 +31,8 @@ class TruncatedTensorBialgebra:
     N: int
     braid: BraidRepCache
     coproduct_blocks: dict[tuple[int, int], ExactMatrix]
+    # degree -> (primitive basis, its leading rows), filled by ``primitives_of_tensor``
+    _primitive_memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def field(self):

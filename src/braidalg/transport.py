@@ -96,7 +96,7 @@ def check_twist_coherence(F: FunctorData) -> AxiomReport:
     return report
 
 
-def _conjugate_pair(F: FunctorData, dim: int) -> tuple[ExactMatrix, ExactMatrix]:
+def _conjugate_pair(F: FunctorData) -> tuple[ExactMatrix, ExactMatrix]:
     """(gg, gg_inv) with gg the induced map on the square tensor power."""
     gg = F.g.kron(F.g)
     return gg, F.g_inv.kron(F.g_inv)
@@ -108,7 +108,7 @@ def transport_braided_object(F: FunctorData, V: BraidedObject) -> BraidedObject:
         return V  # central conjugation: λ^{-1} c λ = c
     if F.g.rows != V.dim:
         raise ShapeError(f"basis change is {F.g.rows}x{F.g.cols}, object has dim {V.dim}")
-    gg, gg_inv = _conjugate_pair(F, V.dim)
+    gg, gg_inv = _conjugate_pair(F)
     return BraidedObject.from_c(V.field, V.dim, gg * V.c * gg_inv)
 
 
@@ -130,7 +130,7 @@ def transport_bialgebra(F: FunctorData, B: BialgebraData, check: bool = True) ->
     else:
         if F.g.rows != B.dim:
             raise ShapeError(f"basis change is {F.g.rows}x{F.g.cols}, bialgebra has dim {B.dim}")
-        gg, gg_inv = _conjugate_pair(F, B.dim)
+        gg, gg_inv = _conjugate_pair(F)
         out = BialgebraData(
             B.field, B.dim,
             m=F.g * B.m * gg_inv,
@@ -245,8 +245,9 @@ def check_J_compatibility(field: FieldSpec, q, N: int) -> AxiomReport:
       ``q_ij q_ji != 1`` fails this gate and no further check runs;
     * every exchange-operator block equals the direct block transposition;
     * every coproduct block equals the quantum unshuffle sum, and the
-      degreewise primitive inclusions computed from either description
-      coincide.
+      degreewise primitive inclusions of ``primitives_of_tensor`` equal the
+      kernels of the full stacks of interior unshuffle blocks: a different
+      elimination route, since the former stacks fewer rows.
     """
     dim = len(q)
     V = BraidedObject.from_c(field, dim, direct_power_braiding(field, q, 1, 1))

@@ -10,7 +10,8 @@ from itertools import combinations
 from math import gcd
 
 from braidalg.braided import CheckItem
-from braidalg.matrix import ExactMatrix
+from braidalg.errors import BadDegree
+from braidalg.matrix import ExactMatrix, stack_rows
 
 
 def digits_of(flat, length, d):
@@ -112,6 +113,23 @@ def unshuffle_block(d, k, n, parities=None):
             row = flat_of([dig[p] for p in arrangement], d)
             out[row][col] += sign
     return out
+
+
+def full_stack_primitives(T, n):
+    """Canonical basis of the degree-``n`` primitives of the truncated tensor
+    bialgebra ``T``, from the full stack of all ``n - 1`` interior coproduct
+    blocks: the path ``primitives_of_tensor`` took before it kept only the
+    rows at the leading coordinates of the lower-degree primitives.
+
+    The extreme coproduct blocks are identities and cancel against the two
+    unit summands, so degree-``n`` primitivity is exactly the vanishing of
+    the interior blocks; the kernel of their stack is returned.
+    """
+    if not (1 <= n <= T.N):
+        raise BadDegree(f"degree {n} outside 1..{T.N}")
+    interior = [T.coproduct_block(k, n) for k in range(1, n)]
+    stacked = stack_rows(interior, T.field, T.component_dim(n))
+    return stacked.nullspace()
 
 
 def mobius(n):

@@ -197,7 +197,7 @@ REPORT_PINS = {
         "", "0d1063580904af018b52c35e899d69fd75a583ac62e12d4adbd0787e2daf525f"),
     "build_flip_q_n2": (0, "4c8129b64bb15063880772aa82d80816d16bc416da575b84dc3333ca07831700",
         "", None),
-    "primitives_bad_q_n3": (0, "29ce313877af3f3f50a4735386a8bf04a253237d30bc05f46af86d77310c101c",
+    "primitives_bad_q_n3": (1, "b1098ca4e16d2262539ffde9d9e1d436b84c0cd061b68f3aab7a44b491ab7000",
         "", None),
     "primitives_ext_q": (0, "902e7973e21ba1d4f63020048e78dae89c3a7477067de16929fe082bf3c77735",
         "", None),
