@@ -38,7 +38,7 @@ print("primitive dim before/after:",
       primitives(B).dim, "/", primitives(moved).dim)
 
 # A scalar twist trades product for coproduct.
-tw = scalar_twist(RATIONALS, 2)
+tw = scalar_twist(RATIONALS, 2, B.dim)
 twisted = transport_bialgebra(tw, B)
 print("\ntwist by 2: product doubled:", twisted.m == B.m.scale(2),
       " coproduct halved:", twisted.delta == B.delta.scale("1/2"))

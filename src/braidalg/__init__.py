@@ -41,8 +41,6 @@ from .braided import (
 from .braidrep import (
     BraidRepCache,
     OracleBraidRepCache,
-    braiding_block,
-    braiding_block_oracle,
     check_hexagon,
 )
 from .errors import (

@@ -80,21 +80,6 @@ class OracleBraidRepCache:
         return out
 
 
-def braiding_block(m: int, n: int, V: BraidedObject, cache: BraidRepCache | None = None) -> ExactMatrix:
-    """The exchange operator ``V^m ⊗ V^n -> V^n ⊗ V^m``."""
-    if cache is None:
-        cache = BraidRepCache(V)
-    return cache.block(m, n)
-
-
-def braiding_block_oracle(m: int, n: int, V: BraidedObject,
-                          cache: OracleBraidRepCache | None = None) -> ExactMatrix:
-    """Same operator by the other schedule; must agree with ``braiding_block``."""
-    if cache is None:
-        cache = OracleBraidRepCache(V)
-    return cache.block(m, n)
-
-
 def check_hexagon(l: int, m: int, n: int, V: BraidedObject,
                   cache: BraidRepCache | None = None) -> bool:
     """The two ways of exchanging three stacked blocks agree:

@@ -303,9 +303,9 @@ def cmd_transport(args) -> tuple[dict, bool]:
             scale = B.field.parse(args.twist)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"'--twist': {exc}") from exc
-        F = scalar_twist(B.field, scale)
+        F = scalar_twist(B.field, scale, B.dim)
         fdesc = {"kind": "scalar_twist", "scale": args.twist}
-    out = transport_bialgebra(F, B, check=False)
+    out = transport_bialgebra(F, B)
     rep = check_braided_bialgebra(out)
     rep.add(CheckItem("primitive_square", check_primfunct_square(F, B)))
     report = _base_report(args)

@@ -19,6 +19,7 @@ from .braided import (
     braided_map,
     check_braided_bialgebra,
     check_yang_baxter,
+    yang_baxter_holds,
 )
 from .errors import (
     BadDegree,
@@ -152,9 +153,12 @@ def primitives_of_tensor(T: TruncatedTensorBialgebra, n: int) -> ExactMatrix:
     ``i < k``, ``Δ_{k,n-k} x`` lies in ``P_k ⊗ V^{⊗(n-k)}``, and it vanishes
     iff its rows at the leading coordinates of the basis of ``P_k`` do.  Only
     those rows are stacked; by induction the kernel is the full stack's.
+    The first query on ``T`` raises ``SpecViolation`` if Yang-Baxter fails.
     """
     if not (1 <= n <= T.N):
         raise BadDegree(f"degree {n} outside 1..{T.N}")
+    if not T._primitive_memo and not yang_baxter_holds(T.V.c, T.V.dim).passed:
+        raise SpecViolation("the braiding fails yang_baxter, so T is not coassociative")
     return _tensor_primitives(T, n)[0]
 
 

@@ -154,7 +154,7 @@ def test_criterion_6_induced_braiding():
                     break
                 except NotInvertible:
                     continue
-            gallery.append(transport_bialgebra(basis_change(g), exterior_line(F5), check=False))
+            gallery.append(transport_bialgebra(basis_change(g), exterior_line(F5)))
         for B in gallery:
             space = primitives(B)
             xx = space.inclusion.kron(space.inclusion)
@@ -191,7 +191,7 @@ def test_criterion_8_transport_coherence():
                 continue
             count += 1
             for i, B in enumerate(subjects):
-                moved = transport_bialgebra(F, B, check=False)
+                moved = transport_bialgebra(F, B)
                 assert check_braided_bialgebra(moved).passed
                 assert primitives(moved, check=False).dim == base_dims[i]
                 assert check_primfunct_square(F, B)

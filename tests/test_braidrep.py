@@ -3,8 +3,6 @@ from braidalg import (
     BraidRepCache,
     ExactMatrix,
     OracleBraidRepCache,
-    braiding_block,
-    braiding_block_oracle,
     check_hexagon,
     prime_field,
 )
@@ -18,21 +16,20 @@ F5 = prime_field(5)
 class TestBaseCases:
     def test_block_1_1_is_the_braiding(self):
         for name, V in braiding_gallery():
-            assert braiding_block(1, 1, V) == V.c, name
-            assert braiding_block_oracle(1, 1, V) == V.c, name
+            assert BraidRepCache(V).block(1, 1) == V.c, name
+            assert OracleBraidRepCache(V).block(1, 1) == V.c, name
 
     def test_degree_zero_blocks_are_identities(self):
         V = flip_braiding(RATIONALS, 2)
-        for n in range(5):
-            ident = ExactMatrix.identity(RATIONALS, 2 ** n)
-            assert braiding_block(0, n, V) == ident
-            assert braiding_block(n, 0, V) == ident
-            assert braiding_block_oracle(0, n, V) == ident
-            assert braiding_block_oracle(n, 0, V) == ident
+        for cache in (BraidRepCache(V), OracleBraidRepCache(V)):
+            for n in range(5):
+                ident = ExactMatrix.identity(RATIONALS, 2 ** n)
+                assert cache.block(0, n) == ident
+                assert cache.block(n, 0) == ident
 
     def test_zero_zero_is_scalar_identity(self):
         V = flip_braiding(RATIONALS, 2)
-        assert braiding_block(0, 0, V) == ExactMatrix.identity(RATIONALS, 1)
+        assert BraidRepCache(V).block(0, 0) == ExactMatrix.identity(RATIONALS, 1)
 
 
 class TestScalarBraiding:

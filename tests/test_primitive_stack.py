@@ -12,7 +12,14 @@ import random
 
 import pytest
 
-from braidalg import RATIONALS, BraidedObject, ExactMatrix, build_truncated, prime_field
+from braidalg import (
+    RATIONALS,
+    BraidedObject,
+    ExactMatrix,
+    SpecViolation,
+    build_truncated,
+    prime_field,
+)
 from braidalg.braided import check_yang_baxter
 from braidalg.gallery import (
     all_gradings,
@@ -21,7 +28,7 @@ from braidalg.gallery import (
     scalar_braiding,
     super_braiding,
 )
-from braidalg.primitives import primitives_of_tensor
+from braidalg.primitives import _tensor_primitives, primitives_of_tensor
 from braidalg.transport import direct_power_braiding
 from oracles import full_stack_primitives
 
@@ -125,8 +132,8 @@ def test_repeated_query_returns_the_memoized_basis():
 
 def test_thinning_needs_yang_baxter():
     # without coassociativity the lower degrees say nothing about Δ_{k,n-k},
-    # so some invertible braiding that fails Yang-Baxter gets another kernel;
-    # the CLI gates ``primitives --degree`` on Yang-Baxter for this reason
+    # so some invertible braiding that fails Yang-Baxter gets another kernel
+    # from the thinned stack; ``primitives_of_tensor`` refuses such a T
     rng = random.Random(0)
     differs = 0
     for _ in range(6):
@@ -134,6 +141,9 @@ def test_thinning_needs_yang_baxter():
         V = BraidedObject.from_c(F5, 2, c)
         assert not check_yang_baxter(V).passed
         T = build_truncated(V, 4)
-        differs += any(primitives_of_tensor(T, n) != full_stack_primitives(T, n)
+        for n in range(1, 5):
+            with pytest.raises(SpecViolation, match="yang_baxter"):
+                primitives_of_tensor(T, n)
+        differs += any(_tensor_primitives(T, n)[0] != full_stack_primitives(T, n)
                        for n in range(1, 5))
     assert differs

@@ -8,6 +8,7 @@ from braidalg import (
     BraidedObject,
     BraidRepCache,
     ExactMatrix,
+    FunctorData,
     NotInvertible,
     ShapeError,
     basis_change,
@@ -60,7 +61,7 @@ class TestBraidedObjectTransport:
 
     def test_scalar_twist_is_central(self):
         V = super_braiding(RATIONALS, (0, 1))
-        assert transport_braided_object(scalar_twist(RATIONALS, 7), V).c == V.c
+        assert transport_braided_object(scalar_twist(RATIONALS, 7, 2), V).c == V.c
 
     def test_one_dimensional_conjugation(self):
         V = scalar_braiding(RATIONALS, 5)
@@ -80,7 +81,16 @@ class TestBraidedObjectTransport:
         with pytest.raises(NotInvertible):
             basis_change(ExactMatrix(RATIONALS, [[1, 2], [2, 4]]))
         with pytest.raises(NotInvertible):
-            scalar_twist(RATIONALS, 0)
+            scalar_twist(RATIONALS, 0, 2)
+
+    def test_dimension_mismatch(self):
+        V = super_braiding(RATIONALS, (0, 1))
+        with pytest.raises(ShapeError):
+            transport_braided_object(scalar_twist(RATIONALS, 2, 3), V)
+        with pytest.raises(ShapeError):
+            transport_bialgebra(scalar_twist(RATIONALS, 2, 3), exterior_line(RATIONALS))
+        with pytest.raises(ShapeError):
+            compose_functors(scalar_twist(RATIONALS, 2, 2), scalar_twist(RATIONALS, 2, 3))
 
 
 class TestBialgebraTransport:
@@ -98,7 +108,7 @@ class TestBialgebraTransport:
 
     def test_scalar_twist_scales_structure(self):
         B = exterior_line(RATIONALS)
-        out = transport_bialgebra(scalar_twist(RATIONALS, 2), B)
+        out = transport_bialgebra(scalar_twist(RATIONALS, 2, 2), B)
         assert out.m == B.m.scale(2)
         assert out.u == B.u.scale("1/2")
         assert out.delta == B.delta.scale("1/2")
@@ -107,8 +117,17 @@ class TestBialgebraTransport:
         assert check_braided_bialgebra(out).passed
 
     def test_twist_coherence(self):
-        assert check_twist_coherence(scalar_twist(RATIONALS, 5)).passed
-        assert check_twist_coherence(scalar_twist(F5, 3)).passed
+        assert check_twist_coherence(scalar_twist(RATIONALS, 5, 2)).passed
+        assert check_twist_coherence(scalar_twist(F5, 3, 3)).passed
+        assert check_twist_coherence(basis_change(ExactMatrix(F5, [[1, 2], [3, 4]]))).passed
+
+    def test_twist_coherence_detects_corruption(self):
+        g = ExactMatrix(RATIONALS, [[1, 1], [0, 1]])  # g^2 != 1
+        rep = check_twist_coherence(FunctorData(g, g, 1))
+        assert {i.name for i in rep.failures()} == {"g_inverse_left", "g_inverse_right"}
+        one = ExactMatrix.identity(F5, 2)
+        rep = check_twist_coherence(FunctorData(one, one, 0))
+        assert [i.name for i in rep.failures()] == ["scale_invertible"]
 
     def test_axiom_verdict_preserved(self):
         # transporting a non-bialgebra fails the same way the source does
@@ -116,7 +135,7 @@ class TestBialgebraTransport:
         wrong = BialgebraData(B.field, B.dim, B.m, B.u, B.delta, B.eps,
                               flip_braiding(RATIONALS, 2).c)
         F = basis_change(ExactMatrix(RATIONALS, [[1, 1], [0, 1]]))
-        moved = transport_bialgebra(F, wrong, check=False)
+        moved = transport_bialgebra(F, wrong)
         src = {i.name for i in check_braided_bialgebra(wrong).failures()}
         dst = {i.name for i in check_braided_bialgebra(moved).failures()}
         assert src == dst == {"coproduct_of_product"}
@@ -129,16 +148,23 @@ class TestBialgebraTransport:
         lhs = transport_bialgebra(F2, transport_bialgebra(F1, B))
         rhs = transport_bialgebra(compose_functors(F2, F1), B)
         assert lhs == rhs
-        t1 = scalar_twist(F5, 2)
-        t2 = scalar_twist(F5, 3)
+        t1 = scalar_twist(F5, 2, 2)
+        t2 = scalar_twist(F5, 3, 2)
         lhs = transport_bialgebra(t2, transport_bialgebra(t1, B))
         rhs = transport_bialgebra(compose_functors(t2, t1), B)
         assert lhs == rhs
 
-    def test_mixed_composition_rejected(self):
-        with pytest.raises(ShapeError):
-            compose_functors(scalar_twist(RATIONALS, 2),
-                             basis_change(ExactMatrix.identity(RATIONALS, 2)))
+    def test_mixed_composition_equals_transporting_twice(self):
+        B = exterior_line(F5)
+        twist = scalar_twist(F5, 3, 2)
+        change = basis_change(ExactMatrix(F5, [[1, 2], [3, 4]]))
+        shear = basis_change(ExactMatrix(F5, [[1, 0], [2, 1]]))  # does not commute with change
+        for second, first in ((twist, change), (change, twist), (shear, change)):
+            composite = compose_functors(second, first)
+            assert check_twist_coherence(composite).passed
+            lhs = transport_bialgebra(second, transport_bialgebra(first, B))
+            assert transport_bialgebra(composite, B) == lhs
+            assert check_primfunct_square(composite, B)
 
 
 class TestPrimitiveSquare:
@@ -160,7 +186,7 @@ class TestPrimitiveSquare:
             assert check_primfunct_square(basis_change(random_invertible(rng, F5, 2)), Z)
 
     def test_scalar_twist(self):
-        assert check_primfunct_square(scalar_twist(RATIONALS, 3), exterior_line(RATIONALS))
+        assert check_primfunct_square(scalar_twist(RATIONALS, 3, 2), exterior_line(RATIONALS))
 
     def test_graded_dims_are_transport_invariant(self):
         rng = random.Random(23)
