@@ -29,7 +29,9 @@ two = iterated_products(B.algebra, 2)[2]
 print("exterior line, 2-fold product of x with x:",
       [two[i, 3] for i in range(2)], "(the zero column)")
 
-print("free/forgetful triangles at truncation 4:", check_triangles_T_Omega(RATIONALS, 4))
+print("free/forgetful triangles at truncation 4:",
+      all(check_triangles_T_Omega(bialg.algebra, 4)
+          for bialg in (B, group_algebra_z2(RATIONALS))))
 
 # The counit of the tensor-bialgebra/primitives adjunction extends the
 # primitive inclusion as an algebra map; it must also be a coalgebra map.

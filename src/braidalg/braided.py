@@ -87,8 +87,7 @@ class BraidedObject:
 
     @classmethod
     def from_c(cls, field: FieldSpec, dim: int, c: ExactMatrix) -> "BraidedObject":
-        if c.rows != dim * dim or c.cols != dim * dim:
-            raise ShapeError(f"braiding must be {dim * dim}x{dim * dim}, got {c.rows}x{c.cols}")
+        _shape_gate(c, dim, "braiding")
         return cls(field, dim, c, c.inverse())
 
     def inverse_object(self) -> "BraidedObject":

@@ -353,7 +353,7 @@ def cmd_adjunction_check(args) -> tuple[dict, bool]:
     if rep.passed:
         w = build_adjunction_witness(B, args.degree)
         rep = AxiomReport()
-        rep.add(CheckItem("free_forgetful_triangles", check_triangles_T_Omega(B.field, args.degree)))
+        rep.add(CheckItem("free_forgetful_triangles", check_triangles_T_Omega(B.algebra, args.degree)))
         rep.extend(check_zeta_coalgebra(w))
         rep.add(CheckItem("zeta_degree1_is_inclusion", w.zeta_blocks[1] == w.space.inclusion))
         rep.add(CheckItem("zeta_degree0_is_unit", w.zeta_blocks[0] == B.u))

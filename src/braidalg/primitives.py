@@ -58,15 +58,14 @@ def equalizer_matrix(B: BialgebraData) -> ExactMatrix:
     return B.delta - whisker(B.dim, B.u, 1) - whisker(1, B.u, B.dim)
 
 
-def restrict_braiding(c: ExactMatrix, xi: ExactMatrix) -> ExactMatrix:
-    """Solve ``(xi⊗xi) c_P = c (xi⊗xi)`` for the unique ``c_P``.
+def restrict_braiding(c: ExactMatrix, xm: ExactMatrix, xn: ExactMatrix) -> ExactMatrix:
+    """Solve ``(xn⊗xm) c_P = c (xm⊗xn)`` for the unique ``c_P``.
 
-    ``xi ⊗ xi`` is injective, so the solution is unique when it exists; when
-    it does not, the braiding does not preserve the subspace.
+    ``xn ⊗ xm`` is injective, so the solution is unique when it exists; when
+    it does not, the braiding does not preserve the subspaces.
     """
-    xx = xi.kron(xi)
     try:
-        return xx.solve(c * xx)
+        return xn.kron(xm).solve(c * xm.kron(xn))
     except LinearSolveError as exc:
         raise NotClosedUnderBraiding(str(exc)) from exc
 
@@ -82,7 +81,7 @@ def primitives(B: BialgebraData, check: bool = True) -> PrimitiveSpace:
         if not gate.passed:
             raise SpecViolation(f"not a braided bialgebra: {gate.failures()[0].name}")
     xi = equalizer_matrix(B).nullspace()
-    c_P = restrict_braiding(B.c, xi)
+    c_P = restrict_braiding(B.c, xi, xi)
     space = PrimitiveSpace(B.field, B.dim, xi, c_P)
     _validate_restricted_braiding(space)
     return space
@@ -120,24 +119,19 @@ def check_bialgebra_morphism(f: ExactMatrix, B: BialgebraData, B2: BialgebraData
         raise NotAMorphism("not braided")
 
 
-def induced_map(f: ExactMatrix, B: BialgebraData, B2: BialgebraData,
-                source: PrimitiveSpace | None = None,
-                target: PrimitiveSpace | None = None) -> ExactMatrix:
+def induced_map(f: ExactMatrix, B: BialgebraData, B2: BialgebraData) -> ExactMatrix:
     """The restriction of a bialgebra morphism to primitive spaces.
 
     Solves ``xi' P(f) = f xi``; the solution exists because morphisms send
     primitives to primitives, and is unique because ``xi'`` is injective.
     """
     check_bialgebra_morphism(f, B, B2)
-    if source is None:
-        source = primitives(B, check=False)
-    if target is None:
-        target = primitives(B2, check=False)
+    source = primitives(B, check=False).inclusion
+    target = primitives(B2, check=False).inclusion
     try:
-        pf = target.inclusion.solve(f * source.inclusion)
+        return target.solve(f * source)
     except LinearSolveError as exc:
         raise NoFactorization(str(exc)) from exc
-    return pf
 
 
 # -- graded primitives of the truncated tensor bialgebra ---------------------
@@ -184,11 +178,5 @@ def tensor_primitive_dims(T: TruncatedTensorBialgebra) -> list[int]:
 
 def tensor_primitive_braiding(T: TruncatedTensorBialgebra, m: int, n: int) -> ExactMatrix:
     """Restriction of the degree-``(m, n)`` braiding block to primitives."""
-    xm = primitives_of_tensor(T, m)
-    xn = primitives_of_tensor(T, n)
-    lhs = xn.kron(xm)
-    rhs = T.braiding_block(m, n) * xm.kron(xn)
-    try:
-        return lhs.solve(rhs)
-    except LinearSolveError as exc:
-        raise NotClosedUnderBraiding(str(exc)) from exc
+    return restrict_braiding(T.braiding_block(m, n), primitives_of_tensor(T, m),
+                             primitives_of_tensor(T, n))

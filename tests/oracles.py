@@ -132,6 +132,18 @@ def full_stack_primitives(T, n):
     return stacked.nullspace()
 
 
+def iterated_product_rightfold(A, n):
+    """The ``n``-fold product ``A^{⊗n} -> A`` of an algebra ``A`` by the
+    right fold ``p[n] = m·(1 ⊗ p[n-1])``, padded with an explicit identity:
+    the reference for the left fold of ``iterated_products``."""
+    if n == 0:
+        return A.u
+    identity = ExactMatrix.identity(A.field, A.dim)
+    if n == 1:
+        return identity
+    return A.m * identity.kron(iterated_product_rightfold(A, n - 1))
+
+
 def mobius(n):
     out = 1
     p = 2

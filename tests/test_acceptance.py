@@ -168,9 +168,8 @@ def test_criterion_7_adjunction_triangles():
     with budget("7 adjunction triangles"):
         bialgebras = [exterior_line(RATIONALS), group_algebra_z2(RATIONALS),
                       exterior_line(F5), group_algebra_z2(F5)]
-        for field in (RATIONALS, F5):
-            assert check_triangles_T_Omega(field, 4)
         for B in bialgebras:
+            assert check_triangles_T_Omega(B.algebra, 4)
             w = build_adjunction_witness(B, 4)
             assert check_zeta_coalgebra(w).passed
             assert (B.eps * w.space.inclusion).is_zero()

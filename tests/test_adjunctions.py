@@ -5,6 +5,7 @@ import pytest
 from braidalg import (
     RATIONALS,
     AlgebraData,
+    BadDegree,
     BialgebraData,
     ExactMatrix,
     build_adjunction_witness,
@@ -19,7 +20,6 @@ from braidalg import (
     primitive_unit,
     primitives,
 )
-from braidalg.adjunctions import iterated_product_rightfold
 from braidalg.gallery import (
     exterior_line,
     flip_braiding,
@@ -27,8 +27,16 @@ from braidalg.gallery import (
     scalar_braiding,
     super_braiding,
 )
+from oracles import iterated_product_rightfold
 
 F5 = prime_field(5)
+
+
+def _bump_product(A):
+    """``A`` with one entry of its product raised by one."""
+    grid = [list(r) for r in A.m.data]
+    grid[0][0] = A.field.add(grid[0][0], 1)
+    return AlgebraData(A.field, A.dim, ExactMatrix(A.field, grid), A.u)
 
 
 class TestIteratedProduct:
@@ -59,21 +67,53 @@ class TestIteratedProduct:
 
 
 class TestFreeForgetfulTriangles:
+    @staticmethod
+    def _stock_algebras_pass(field):
+        for make in (exterior_line, group_algebra_z2):
+            for N in (2, 3, 4):
+                assert check_triangles_T_Omega(make(field).algebra, N) is True
+
     def test_rationals(self):
-        assert check_triangles_T_Omega(RATIONALS, 4)
+        self._stock_algebras_pass(RATIONALS)
 
     def test_mod_five(self):
-        assert check_triangles_T_Omega(F5, 4)
+        self._stock_algebras_pass(F5)
+
+    def test_low_degree_rejected(self):
+        with pytest.raises(BadDegree):
+            check_triangles_T_Omega(exterior_line(RATIONALS).algebra, 1)
 
     def test_corrupted_counit_block_detected(self):
-        # negative control: one bumped entry of the product breaks the
-        # counit blocks, and the checker must say so
+        # negative control: one bumped entry of the product breaks the unit
+        # law and associativity, so the counit blocks are not multiplicative
         A = group_algebra_z2(RATIONALS).algebra
-        grid = [list(r) for r in A.m.data]
-        grid[0][0] = RATIONALS.add(grid[0][0], 1)
-        corrupt = AlgebraData(A.field, A.dim, ExactMatrix(RATIONALS, grid), A.u)
-        assert check_triangles_T_Omega(RATIONALS, 3, algebras=(A,)) is True
-        assert check_triangles_T_Omega(RATIONALS, 3, algebras=(corrupt,)) is False
+        assert check_triangles_T_Omega(A, 3) is True
+        assert check_triangles_T_Omega(_bump_product(A), 3) is False
+
+    @pytest.mark.parametrize("field", [RATIONALS, F5], ids=["Q", "F5"])
+    def test_non_associative_product_detected(self, field):
+        # basis 1, x, y with 1 a two-sided unit and xx = y, xy = 0, yx = 1,
+        # yy = 0: (xx)x = 1 but x(xx) = 0.  Degree 2 holds only the unit
+        # laws, so the fault shows from degree 3 on.
+        table = {(1, 1): 2, (2, 1): 0}
+        grid = [[0] * 9 for _ in range(3)]
+        for i in range(3):
+            grid[i][i] = grid[i][3 * i] = 1
+        for (i, j), k in table.items():
+            grid[k][3 * i + j] = 1
+        A = AlgebraData(field, 3, ExactMatrix(field, grid), ExactMatrix(field, [[1], [0], [0]]))
+        assert check_triangles_T_Omega(A, 2) is True
+        assert check_triangles_T_Omega(A, 3) is False
+
+    @pytest.mark.parametrize("field", [RATIONALS, F5], ids=["Q", "F5"])
+    @pytest.mark.parametrize("make", [exterior_line, group_algebra_z2])
+    def test_broken_unit_detected(self, make, field):
+        # the product is intact but u = 2·(old unit), so m(u ⊗ 1) = 2 ≠ 1
+        A = make(field).algebra
+        twice = A.u + A.u
+        broken = AlgebraData(A.field, A.dim, A.m, twice)
+        assert check_triangles_T_Omega(A, 2) is True
+        assert check_triangles_T_Omega(broken, 2) is False
 
 
 class TestPrimitiveUnit:

@@ -222,7 +222,7 @@ class TestInducedMaps:
         g = ExactMatrix(F5, [[1, 1], [0, 1]])
         B2 = transport_bialgebra(basis_change(g), B)
         space, space2 = primitives(B), primitives(B2)
-        pf = induced_map(g, B, B2, source=space, target=space2)
+        pf = induced_map(g, B, B2)
         assert space2.inclusion * pf == g * space.inclusion
 
     def test_rejects_non_morphism(self):
