@@ -28,7 +28,7 @@ B = exterior_line(RATIONALS)
 # with (1 x x) * (x x 1) = -(x x x) showing up in the product matrix.
 spec = ProductAlgebraSpec(B.algebra, B.algebra,
                           {(i, j): B.c for i in (1, 2) for j in (1, 2)})
-square = product_algebra(spec, 1, 2)
+square = product_algebra(spec)
 print("square of the exterior line: dim", square.algebra.dim)
 print("  associative and unital:", check_algebra(square.algebra).passed)
 print("  braided algebra:", check_braided_algebra(square.algebra, square.c).passed)
@@ -40,7 +40,7 @@ print("  (1 x x)(x x 1) column:", [square.algebra.m[i, col] for i in range(4)],
 # derived exchange operators between A and A x A.
 dbl = double_braiding(B.algebra, B.c)
 print("\ndoubling: braiding of A x A passes Yang-Baxter:",
-      check_yang_baxter(BraidedObject.from_c(RATIONALS, 4, dbl.c22)).passed)
+      check_yang_baxter(BraidedObject.from_c(RATIONALS, 4, dbl.product.c)).passed)
 
 # In dimension 1 the operator formulas collapse to scalar powers.
 c = scalar_braiding(RATIONALS, 3).c
@@ -54,6 +54,6 @@ try:
     bad = ProductAlgebraSpec(B.algebra, B.algebra,
                              {(i, j): ExactMatrix.identity(RATIONALS, 4)
                               for i in (1, 2) for j in (1, 2)})
-    product_algebra(bad, 1, 2)
+    product_algebra(bad)
 except SpecViolation as exc:
     print("\nidentity exchange rejected:", exc)

@@ -48,7 +48,6 @@ from .errors import (
     BadTruncation,
     BraidAlgError,
     FieldMismatch,
-    InternalInconsistency,
     LinearSolveError,
     NoFactorization,
     NotAMorphism,

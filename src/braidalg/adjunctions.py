@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .braided import AlgebraData, AxiomReport, BialgebraData, compare
-from .errors import BadDegree, LinearSolveError, NoFactorization
+from .errors import BadDegree, LinearSolveError
 from .matrix import ExactMatrix, kron_power, whisker
 from .primitives import PrimitiveSpace, primitives, primitives_of_tensor
 from .tensoralg import TruncatedTensorBialgebra, build_truncated
@@ -58,13 +58,11 @@ def check_triangles_T_Omega(A: AlgebraData, N: int) -> bool:
 
 
 def primitive_unit(T: TruncatedTensorBialgebra) -> ExactMatrix:
-    """Factorization of the degree-1 injection through the degree-1
-    primitives; exists because degree-1 elements are always primitive."""
-    xi1 = primitives_of_tensor(T, 1)
-    try:
-        return xi1.solve(ExactMatrix.identity(T.field, T.V.dim))
-    except LinearSolveError as exc:  # cannot happen for a well-built T
-        raise NoFactorization(str(exc)) from exc
+    """The unit of T̄ ⊣ P at ``V``: the degree-1 injection factored through
+    the degree-1 primitives.  Degree 1 has no interior coproduct blocks, so
+    its primitive stack has no rows, ``ξ_1`` is the identity, and so is the
+    unit."""
+    return ExactMatrix.identity(T.field, T.V.dim)
 
 
 def primitive_counit_blocks(products: list[ExactMatrix],

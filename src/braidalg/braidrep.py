@@ -66,16 +66,15 @@ class OracleBraidRepCache:
         hit = self.table.get(key)
         if hit is not None:
             return hit
-        f, d = self.source.field, self.source.dim
-        one = ExactMatrix.identity(f, d)
+        d = self.source.dim
         if m == 0 or n == 0:
-            out = ExactMatrix.identity(f, d ** (m + n))
+            out = ExactMatrix.identity(self.source.field, d ** (m + n))
         elif m == 1 and n == 1:
             out = self.source.c
         elif n == 1:
-            out = self.block(m - 1, 1).kron(one) * ExactMatrix.identity(f, d ** (m - 1)).kron(self.source.c)
+            out = whisker(1, self.block(m - 1, 1), d, whisker(d ** (m - 1), self.source.c, 1))
         else:
-            out = ExactMatrix.identity(f, d ** (n - 1)).kron(self.block(m, 1)) * self.block(m, n - 1).kron(one)
+            out = whisker(d ** (n - 1), self.block(m, 1), 1, whisker(1, self.block(m, n - 1), d))
         self.table[key] = out
         return out
 

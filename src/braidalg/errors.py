@@ -47,7 +47,3 @@ class BadTruncation(BraidAlgError):
 
 class BadDegree(BraidAlgError):
     """Requested degree outside the stored range."""
-
-
-class InternalInconsistency(BraidAlgError):
-    """A postcondition guaranteed by theory failed; indicates a bug."""

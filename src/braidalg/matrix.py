@@ -44,7 +44,7 @@ class ExactMatrix:
     def __init__(self, field: FieldSpec, entries, rows: int | None = None, cols: int | None = None):
         rows = len(entries) if rows is None else rows
         if cols is None:
-            if rows == 0:
+            if not entries:
                 raise ShapeError("column count required for a matrix with no rows")
             cols = len(entries[0])
         element = field.element

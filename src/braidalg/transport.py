@@ -30,7 +30,7 @@ from .braided import (
     braided_map,
     compare,
 )
-from .errors import LinearSolveError, NotInvertible, ShapeError
+from .errors import LinearSolveError, NotClosedUnderBraiding, NotInvertible, ShapeError
 from .fields import FieldSpec
 from .matrix import ExactMatrix, stack_rows
 from .primitives import primitives, primitives_of_tensor
@@ -118,10 +118,15 @@ def transport_bialgebra(F: FunctorData, B: BialgebraData) -> BialgebraData:
 def check_primfunct_square(F: FunctorData, B: BialgebraData) -> bool:
     """Primitives of the transport against transport of the primitives:
     equal dimensions, equal column spaces of the two inclusions, and
-    braidings conjugate under the induced change of basis."""
-    P = primitives(B, check=False)
+    braidings conjugate under the induced change of basis.  ``B`` is not
+    checked; when ``c`` does not map ``P⊗P`` into itself on either side,
+    ``P`` is no braided object and the square does not hold."""
     B2 = transport_bialgebra(F, B)
-    P2 = primitives(B2, check=False)
+    try:
+        P = primitives(B, check=False)
+        P2 = primitives(B2, check=False)
+    except NotClosedUnderBraiding:
+        return False
     if P.dim != P2.dim:
         return False
     if P.dim == 0:

@@ -19,6 +19,7 @@ from braidalg import (
     primitive_counit_blocks,
     primitive_unit,
     primitives,
+    primitives_of_tensor,
 )
 from braidalg.gallery import (
     exterior_line,
@@ -121,8 +122,9 @@ class TestPrimitiveUnit:
         for V in (flip_braiding(RATIONALS, 2), scalar_braiding(RATIONALS, 2),
                   super_braiding(RATIONALS, (0, 1))):
             T = build_truncated(V, 2)
-            eta_bar = primitive_unit(T)
-            assert eta_bar == ExactMatrix.identity(V.field, V.dim)
+            ident = ExactMatrix.identity(V.field, V.dim)
+            assert primitives_of_tensor(T, 1) == ident  # so the unit is the identity
+            assert primitive_unit(T) == ident
 
 
 class TestZetaBlocks:

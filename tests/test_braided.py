@@ -188,7 +188,7 @@ class TestProductAlgebra:
         A = trivial_algebra(RATIONALS)
         one = ExactMatrix.identity(RATIONALS, 1)
         spec = ProductAlgebraSpec(A, A, {(i, j): one for i in (1, 2) for j in (1, 2)})
-        out = product_algebra(spec, 1, 2)
+        out = product_algebra(spec)
         assert out.algebra.dim == 1
         assert check_braided_algebra(out.algebra, out.c).passed
 
@@ -196,7 +196,7 @@ class TestProductAlgebra:
         B = exterior_line(RATIONALS)
         spec = ProductAlgebraSpec(B.algebra, B.algebra,
                                   {(i, j): B.c for i in (1, 2) for j in (1, 2)})
-        out = product_algebra(spec, 1, 2)
+        out = product_algebra(spec)
         assert out.algebra.dim == 4
         assert check_algebra(out.algebra).passed
         assert check_braided_algebra(out.algebra, out.c).passed
@@ -209,7 +209,7 @@ class TestProductAlgebra:
         spec = ProductAlgebraSpec(B.algebra, B.algebra,
                                   {(i, j): ident4 for i in (1, 2) for j in (1, 2)})
         with pytest.raises(SpecViolation, match="c21"):
-            product_algebra(spec, 1, 2)
+            product_algebra(spec)
 
     def test_square_zero_truncation_pieces(self):
         # the degree <=1 part of the tensor algebra on V: products of two
@@ -245,7 +245,7 @@ class TestProductAlgebra:
             A, c = square_zero(V)
             assert check_braided_algebra(A, c).passed
             spec = ProductAlgebraSpec(A, A, {(i, j): c for i in (1, 2) for j in (1, 2)})
-            out = product_algebra(spec, 1, 2)
+            out = product_algebra(spec)
             assert check_algebra(out.algebra).passed
             assert check_braided_algebra(out.algebra, out.c).passed
 
@@ -269,7 +269,7 @@ class TestProductAlgebra:
         A = AlgebraData(F5, 2, g * B.m * gg_inv, g * B.u)
         c = gg * B.c * gg_inv
         spec = ProductAlgebraSpec(A, A, {(i, j): c for i in (1, 2) for j in (1, 2)})
-        out = product_algebra(spec, 1, 2)
+        out = product_algebra(spec)
         assert check_algebra(out.algebra).passed
         assert check_braided_algebra(out.algebra, out.c).passed
 
@@ -279,7 +279,7 @@ class TestDoubleBraiding:
         A = trivial_algebra(RATIONALS)
         out = double_braiding(A, ExactMatrix.identity(RATIONALS, 1))
         assert out.product.algebra.dim == 1
-        assert out.c22 == ExactMatrix.identity(RATIONALS, 1)
+        assert out.product.c == ExactMatrix.identity(RATIONALS, 1)
 
     def test_scalar_fourth_power_formula(self):
         c = scalar_braiding(RATIONALS, 3).c
@@ -293,12 +293,13 @@ class TestDoubleBraiding:
         out = double_braiding(B.algebra, B.c)
         assert out.product.algebra.dim == 4
         assert check_braided_algebra(out.product.algebra, out.product.c).passed
-        V = BraidedObject.from_c(RATIONALS, 4, out.c22)
+        V = BraidedObject.from_c(RATIONALS, 4, out.product.c)
         assert check_yang_baxter(V).passed
 
     def test_gate(self):
+        # c(m⊗1) = 2 but (1⊗m)(c⊗1)(1⊗c) = 4: the product law fails
         A = trivial_algebra(RATIONALS)
-        with pytest.raises(SpecViolation):
+        with pytest.raises(SpecViolation, match=r"^c21 fails for \(i,j\)=\(1,1\)$"):
             double_braiding(A, scalar_braiding(RATIONALS, 2).c)
 
     def test_double_braiding_qybe_inherited(self):
@@ -309,4 +310,4 @@ class TestDoubleBraiding:
             pass
         B = group_algebra_z2(RATIONALS)
         out = double_braiding(B.algebra, B.c)
-        assert check_yang_baxter(BraidedObject.from_c(RATIONALS, 4, out.c22)).passed
+        assert check_yang_baxter(BraidedObject.from_c(RATIONALS, 4, out.product.c)).passed

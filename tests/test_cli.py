@@ -1,11 +1,12 @@
 import json
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidalg import RATIONALS, prime_field
+from braidalg import RATIONALS, ExactMatrix, prime_field
 from braidalg.cli import _encode, main
 from braidalg.gallery import corrupted_flip, exterior_line, flip_braiding, scalar_braiding
 from braidalg.serialize import bialgebra_to_json, braiding_to_json, matrix_to_json
@@ -234,6 +235,21 @@ class TestTransport:
         code, out = run(capsys, "transport", "--input", files["ext"], "--twist", "2")
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+    # the exterior line with x⊗x sent to x⊗x + 1⊗1, which leaves P⊗P, and
+    # with x⊗x sent to 0, which restricts to a singular braiding of P
+    @pytest.mark.parametrize("c", [
+        [[1, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]],
+    ])
+    def test_non_bialgebra_gets_a_report(self, tmp_path, capsys, c):
+        B = replace(exterior_line(RATIONALS), c=ExactMatrix(RATIONALS, c))
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(bialgebra_to_json(B)))
+        code = main(["transport", "--input", str(path), "--twist", "2"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (1, "")
+        assert json.loads(out)["passed"] is False
 
     def test_exactly_one_functor(self, files, capsys):
         assert main(["transport", "--input", files["ext"]]) == 2

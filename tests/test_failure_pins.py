@@ -136,5 +136,5 @@ def test_product_spec(a1, a2, cs, message):
     keys = [(1, 1), (1, 2), (2, 1), (2, 2)]
     spec = ProductAlgebraSpec(a1, a2, {k: V.c for k, V in zip(keys, cs)})
     with pytest.raises(SpecViolation) as err:
-        product_algebra(spec, 1, 2)
+        product_algebra(spec)
     assert str(err.value) == message

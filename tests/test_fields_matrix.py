@@ -305,6 +305,9 @@ class TestInverseAndSolve:
             mat(RATIONALS, [[1]]) * mat(RATIONALS, [[1, 2], [3, 4]])
         with pytest.raises(ShapeError):
             mat(RATIONALS, [[1]]) + mat(RATIONALS, [[1, 2]])
+        for rows in (None, 0, 2):  # no rows to read the column count from
+            with pytest.raises(ShapeError, match="column count required"):
+                ExactMatrix(RATIONALS, [], rows=rows)
 
 
 ORACLE_FIELDS = [RATIONALS, prime_field(2), F5, prime_field(999999937)]

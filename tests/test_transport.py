@@ -188,6 +188,18 @@ class TestPrimitiveSquare:
     def test_scalar_twist(self):
         assert check_primfunct_square(scalar_twist(RATIONALS, 3, 2), exterior_line(RATIONALS))
 
+    def test_corrupted_functor_detected(self):
+        B = exterior_line(RATIONALS)
+        one = ExactMatrix.identity(RATIONALS, 2)
+        diag = ExactMatrix(RATIONALS, [[2, 0], [0, 1]])
+        h = ExactMatrix(RATIONALS, [[1, 1], [0, 1]])
+        # g_inv = 1 does not invert diag(2, 1): the unit of the transport is
+        # 2·1, which makes 1 primitive too, so the dimensions differ
+        assert not check_primfunct_square(FunctorData(diag, one, 1), B)
+        # h is not its own inverse: the transported braiding does not map
+        # the transported primitives into their square
+        assert not check_primfunct_square(FunctorData(h, h, 1), B)
+
     def test_graded_dims_are_transport_invariant(self):
         rng = random.Random(23)
         V = super_braiding(F5, (0, 1))
