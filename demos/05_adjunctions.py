@@ -16,7 +16,7 @@ from braidalg import (
     check_zeta_coalgebra,
     iterated_products,
     prime_field,
-    primitive_unit,
+    primitives_of_tensor,
 )
 from braidalg.gallery import exterior_line, flip_braiding, group_algebra_z2
 
@@ -49,8 +49,9 @@ print("tensor/primitives triangles:", check_triangles_Tbar_P(w))
 print("  over F_5 with q = 2:",
       check_triangles_Tbar_P(build_adjunction_witness(exterior_line(prime_field(5)), 4)))
 
-# The units and the counit blocks.
+# The units and the counit blocks; the unit into the primitives is the
+# degree-1 inclusion ξ_1.
 print("\nwitness: unit =", ExactMatrix.identity(RATIONALS, V.dim).to_strings(),
-      " unit into primitives =", primitive_unit(build_truncated(V, 3)).to_strings())
+      " unit into primitives =", primitives_of_tensor(build_truncated(V, 3), 1).to_strings())
 print("counit extension blocks, degrees 0..3:",
       {n: m.to_strings() for n, m in enumerate(w.zeta_blocks[:4])})

@@ -9,6 +9,7 @@ again a braided algebra.
 
 from braidalg import (
     RATIONALS,
+    BraidRepCache,
     ExactMatrix,
     ProductAlgebraSpec,
     SpecViolation,
@@ -16,7 +17,6 @@ from braidalg import (
     check_braided_algebra,
     check_yang_baxter,
     double_braiding,
-    double_braiding_operators,
     product_algebra,
 )
 from braidalg.braided import BraidedObject
@@ -36,17 +36,17 @@ col = 1 * 4 + 2  # (1 x x) times (x x 1)
 print("  (1 x x)(x x 1) column:", [square.algebra.m[i, col] for i in range(4)],
       "(= -x x x)")
 
-# The same data packaged as the doubling of a braided algebra, with the
-# derived exchange operators between A and A x A.
+# The same data packaged as the doubling of a braided algebra; its braiding
+# is the block c^{2,2} of the braided object.
 dbl = double_braiding(B.algebra, B.c)
 print("\ndoubling: braiding of A x A passes Yang-Baxter:",
-      check_yang_baxter(BraidedObject.from_c(RATIONALS, 4, dbl.product.c)).passed)
+      check_yang_baxter(BraidedObject.from_c(RATIONALS, 4, dbl.c)).passed)
 
-# In dimension 1 the operator formulas collapse to scalar powers.
-c = scalar_braiding(RATIONALS, 3).c
-c21, c12, c22 = double_braiding_operators(c, 1)
-print("scalar q=3: exchange against the square is q^2 =", c21[0, 0],
-      ", braiding of the square is q^4 =", c22[0, 0])
+# In dimension 1 the exchange blocks c^{2,1} (against A) and c^{2,2} (of
+# A x A) collapse to scalar powers.
+blocks = BraidRepCache(scalar_braiding(RATIONALS, 3))
+print("scalar q=3: exchange against the square is q^2 =", blocks.block(2, 1)[0, 0],
+      ", braiding of the square is q^4 =", blocks.block(2, 2)[0, 0])
 
 # The hypotheses are really checked: the identity is not a valid exchange
 # for a non-commutative-style interaction.

@@ -15,7 +15,6 @@ from .adjunctions import (
     check_zeta_coalgebra,
     iterated_products,
     primitive_counit_blocks,
-    primitive_unit,
 )
 from .braided import (
     AlgebraData,
@@ -24,7 +23,6 @@ from .braided import (
     BraidedAlgebra,
     BraidedObject,
     CheckItem,
-    DoubledAlgebra,
     ProductAlgebraSpec,
     check_algebra,
     check_braided_algebra,
@@ -35,7 +33,6 @@ from .braided import (
     check_yang_baxter,
     compare,
     double_braiding,
-    double_braiding_operators,
     product_algebra,
 )
 from .braidrep import (
@@ -58,7 +55,7 @@ from .errors import (
     TruncationOverflow,
 )
 from .fields import RATIONALS, FieldSpec, prime_field
-from .matrix import ExactMatrix, hstack, kron_power, vstack, whisker
+from .matrix import ExactMatrix, hstack, kron_power, whisker
 from .primitives import (
     PrimitiveSpace,
     equalizer_matrix,

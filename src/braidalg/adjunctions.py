@@ -57,14 +57,6 @@ def check_triangles_T_Omega(A: AlgebraData, N: int) -> bool:
                for a in range(N + 1) for b in range(N + 1 - a))
 
 
-def primitive_unit(T: TruncatedTensorBialgebra) -> ExactMatrix:
-    """The unit of T̄ ⊣ P at ``V``: the degree-1 injection factored through
-    the degree-1 primitives.  Degree 1 has no interior coproduct blocks, so
-    its primitive stack has no rows, ``ξ_1`` is the identity, and so is the
-    unit."""
-    return ExactMatrix.identity(T.field, T.V.dim)
-
-
 def primitive_counit_blocks(products: list[ExactMatrix],
                             inclusion: ExactMatrix) -> list[ExactMatrix]:
     """Degreewise blocks of the algebra map extending the primitive inclusion:

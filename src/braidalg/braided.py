@@ -256,8 +256,8 @@ def check_braided_algebra(A: AlgebraData, c: ExactMatrix) -> AxiomReport:
     return report
 
 
-def check_braided_coalgebra(field: FieldSpec, dim: int, delta: ExactMatrix,
-                            eps: ExactMatrix, c: ExactMatrix) -> AxiomReport:
+def check_braided_coalgebra(dim: int, delta: ExactMatrix, eps: ExactMatrix,
+                            c: ExactMatrix) -> AxiomReport:
     """Compatibility of coproduct and counit with the braiding."""
     _shape_gate(c, dim, "braiding")
     report = AxiomReport()
@@ -281,7 +281,7 @@ def check_braided_bialgebra(B: BialgebraData) -> AxiomReport:
     report.extend(check_algebra(B.algebra), prefix="algebra.")
     report.extend(check_coalgebra(B.field, B.dim, B.delta, B.eps), prefix="coalgebra.")
     report.extend(check_braided_algebra(B.algebra, B.c))
-    report.extend(check_braided_coalgebra(B.field, B.dim, B.delta, B.eps, B.c))
+    report.extend(check_braided_coalgebra(B.dim, B.delta, B.eps, B.c))
     one = ExactMatrix.identity(B.field, 1)
     report.add(compare(
         "coproduct_of_product",  # Δm = (m⊗m)(B⊗c⊗B)(Δ⊗Δ)
@@ -338,34 +338,11 @@ def product_algebra(spec: ProductAlgebraSpec) -> BraidedAlgebra:
     return BraidedAlgebra(AlgebraData(A1.field, d1 * d2, m, u), c)
 
 
-@dataclass(frozen=True)
-class DoubledAlgebra:
-    """``A ⊗ A`` as a braided algebra, with the exchange operators between
-    ``A`` and ``A ⊗ A`` that make the pair satisfy the product hypotheses."""
-
-    product: BraidedAlgebra  # its braiding is c22 of double_braiding_operators
-    c21: ExactMatrix  # (A⊗A)⊗A -> A⊗(A⊗A)
-    c12: ExactMatrix  # A⊗(A⊗A) -> (A⊗A)⊗A
-
-
-def double_braiding_operators(c: ExactMatrix, dim: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix]:
-    """The exchange operators a braiding induces between a space and its
-    square: ``(c21, c12, c22)`` with
-
-    ``c21 = (c⊗1)(1⊗c)``, ``c12 = (1⊗c)(c⊗1)``,
-    ``c22 = (1⊗c⊗1)(c⊗c)(1⊗c⊗1)``.
-    """
-    c21 = whisker(1, c, dim, whisker(dim, c, 1))
-    c12 = whisker(dim, c, 1, whisker(1, c, dim))
-    c22 = whisker(dim, c, dim, c.kron(c) * whisker(dim, c, dim))
-    return c21, c12, c22
-
-
-def double_braiding(A: AlgebraData, c: ExactMatrix) -> DoubledAlgebra:
-    """Braided algebra structure on ``A ⊗ A`` induced by a braided algebra
-    ``(A, c)``, with the derived exchange operators.  ``product_algebra``
-    verifies the hypotheses: with every exchange operator ``c``, they include
-    the braided-algebra laws of ``(A, c)``."""
-    spec = ProductAlgebraSpec(A, A, {(1, 1): c, (1, 2): c, (2, 1): c, (2, 2): c})
-    c21, c12, _ = double_braiding_operators(c, A.dim)
-    return DoubledAlgebra(product_algebra(spec), c21, c12)
+def double_braiding(A: AlgebraData, c: ExactMatrix) -> BraidedAlgebra:
+    """The braided algebra ``A ⊗ A`` induced by a braided algebra ``(A, c)``:
+    ``product_algebra`` with every exchange operator ``c``, so its braiding is
+    ``c^{2,2}``.  The exchange operators against ``A`` are ``c^{2,1}`` and
+    ``c^{1,2}``, the blocks ``BraidRepCache`` builds.  ``product_algebra``
+    verifies the hypotheses, which include the braided-algebra laws of
+    ``(A, c)``."""
+    return product_algebra(ProductAlgebraSpec(A, A, {(i, j): c for i in (1, 2) for j in (1, 2)}))

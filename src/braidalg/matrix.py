@@ -347,16 +347,12 @@ def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix._raw(a.field, out, a.rows, a.cols + b.cols)
 
 
-def vstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return stack_rows([a, b], a.field, a.cols)
-
-
 def stack_rows(mats: list[ExactMatrix], field: FieldSpec, cols: int) -> ExactMatrix:
-    """vstack of a possibly empty list, with explicit shape for the empty case."""
+    """The rows of ``mats`` stacked in order; ``cols`` fixes the shape when the list is empty."""
     for m in mats:
         require_same_field(field, m.field)
         if m.cols != cols:
-            raise ShapeError("vstack needs equal column counts")
+            raise ShapeError("stack_rows needs equal column counts")
     out = tuple(row for m in mats for row in m.nonzeros)
     return ExactMatrix._raw(field, out, len(out), cols)
 

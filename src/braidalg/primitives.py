@@ -40,8 +40,7 @@ class PrimitiveSpace:
     """Primitive subspace with its inclusion and the restricted braiding."""
 
     field: FieldSpec
-    ambient_dim: int
-    inclusion: ExactMatrix  # ambient_dim x dim, columns = canonical basis
+    inclusion: ExactMatrix  # B.dim x dim, columns = canonical basis
     braiding: ExactMatrix   # dim^2 x dim^2
 
     @property
@@ -83,7 +82,7 @@ def primitives(B: BialgebraData, check: bool = True) -> PrimitiveSpace:
         if not gate.passed:
             raise SpecViolation(f"not a braided bialgebra: {gate.failures()[0].name}")
     xi = equalizer_matrix(B).nullspace()
-    return PrimitiveSpace(B.field, B.dim, xi, restrict_braiding(B.c, xi, xi))
+    return PrimitiveSpace(B.field, xi, restrict_braiding(B.c, xi, xi))
 
 
 def check_bialgebra_morphism(f: ExactMatrix, B: BialgebraData, B2: BialgebraData) -> None:

@@ -119,13 +119,16 @@ def check_primfunct_square(F: FunctorData, B: BialgebraData) -> bool:
     """Primitives of the transport against transport of the primitives:
     equal dimensions, equal column spaces of the two inclusions, and
     braidings conjugate under the induced change of basis.  ``B`` is not
-    checked; when ``c`` does not map ``P⊗P`` into itself on either side,
-    ``P`` is no braided object and the square does not hold."""
+    checked; when ``c`` does not map ``P⊗P`` into itself on either side, or
+    restricts to a singular ``c_P``, ``P`` is no braided object and the square
+    does not hold.  A square that holds conjugates ``c_P`` to the other
+    side's restriction, so one invertibility test covers both."""
     B2 = transport_bialgebra(F, B)
     try:
         P = primitives(B, check=False)
         P2 = primitives(B2, check=False)
-    except NotClosedUnderBraiding:
+        P.braided_object()
+    except (NotClosedUnderBraiding, NotInvertible):
         return False
     if P.dim != P2.dim:
         return False

@@ -7,6 +7,7 @@ from braidalg import (
     AlgebraData,
     BialgebraData,
     BraidedObject,
+    BraidRepCache,
     ExactMatrix,
     ProductAlgebraSpec,
     ShapeError,
@@ -21,7 +22,6 @@ from braidalg import (
     prime_field,
     product_algebra,
 )
-from braidalg.braided import double_braiding_operators
 from braidalg.gallery import (
     all_gradings,
     braiding_gallery,
@@ -131,21 +131,21 @@ class TestBraidedAlgebra:
 class TestBraidedCoalgebra:
     def test_trivial_coalgebra(self):
         one = ExactMatrix.identity(RATIONALS, 1)
-        rep = check_braided_coalgebra(RATIONALS, 1, one, one, scalar_braiding(RATIONALS, 1).c)
+        rep = check_braided_coalgebra(1, one, one, scalar_braiding(RATIONALS, 1).c)
         assert rep.passed
         # the counit law composed with the braiding forces q = 1 on a line
-        rep = check_braided_coalgebra(RATIONALS, 1, one, one, scalar_braiding(RATIONALS, 2).c)
+        rep = check_braided_coalgebra(1, one, one, scalar_braiding(RATIONALS, 2).c)
         assert not rep.passed
 
     def test_exterior_line(self):
         B = exterior_line(RATIONALS)
-        assert check_braided_coalgebra(B.field, B.dim, B.delta, B.eps, B.c).passed
+        assert check_braided_coalgebra(B.dim, B.delta, B.eps, B.c).passed
 
     def test_any_coalgebra_with_flip_is_braided(self):
         # naturality of the flip again; breaking happens only at the
         # bialgebra exchange law
         B = exterior_line(RATIONALS)
-        rep = check_braided_coalgebra(B.field, B.dim, B.delta, B.eps, flip_braiding(RATIONALS, 2).c)
+        rep = check_braided_coalgebra(B.dim, B.delta, B.eps, flip_braiding(RATIONALS, 2).c)
         assert rep.passed
 
 
@@ -278,22 +278,22 @@ class TestDoubleBraiding:
     def test_trivial(self):
         A = trivial_algebra(RATIONALS)
         out = double_braiding(A, ExactMatrix.identity(RATIONALS, 1))
-        assert out.product.algebra.dim == 1
-        assert out.product.c == ExactMatrix.identity(RATIONALS, 1)
+        assert out.algebra.dim == 1
+        assert out.c == ExactMatrix.identity(RATIONALS, 1)
 
     def test_scalar_fourth_power_formula(self):
-        c = scalar_braiding(RATIONALS, 3).c
-        c21, c12, c22 = double_braiding_operators(c, 1)
-        assert c21 == ExactMatrix(RATIONALS, [[9]])
-        assert c12 == ExactMatrix(RATIONALS, [[9]])
-        assert c22 == ExactMatrix(RATIONALS, [[81]])
+        # the exchange blocks of A⊗A: c^{2,1} and c^{1,2} against A, c^{2,2} its braiding
+        cache = BraidRepCache(scalar_braiding(RATIONALS, 3))
+        assert cache.block(2, 1) == ExactMatrix(RATIONALS, [[9]])
+        assert cache.block(1, 2) == ExactMatrix(RATIONALS, [[9]])
+        assert cache.block(2, 2) == ExactMatrix(RATIONALS, [[81]])
 
     def test_exterior_line(self):
         B = exterior_line(RATIONALS)
         out = double_braiding(B.algebra, B.c)
-        assert out.product.algebra.dim == 4
-        assert check_braided_algebra(out.product.algebra, out.product.c).passed
-        V = BraidedObject.from_c(RATIONALS, 4, out.product.c)
+        assert out.algebra.dim == 4
+        assert check_braided_algebra(out.algebra, out.c).passed
+        V = BraidedObject.from_c(RATIONALS, 4, out.c)
         assert check_yang_baxter(V).passed
 
     def test_gate(self):
@@ -303,11 +303,10 @@ class TestDoubleBraiding:
             double_braiding(A, scalar_braiding(RATIONALS, 2).c)
 
     def test_double_braiding_qybe_inherited(self):
-        for name, V in braiding_gallery():
-            if V.dim != 1:
-                continue
-            # any scalar braiding on the trivial algebra with q = 1 only
-            pass
-        B = group_algebra_z2(RATIONALS)
-        out = double_braiding(B.algebra, B.c)
-        assert check_yang_baxter(BraidedObject.from_c(RATIONALS, 4, out.product.c)).passed
+        # product_algebra assembles c^{2,2} from the four exchange operators;
+        # BraidRepCache builds it by its own recursion
+        for field in (RATIONALS, F5):
+            for B in (exterior_line(field), group_algebra_z2(field)):
+                out = double_braiding(B.algebra, B.c)
+                assert out.c == BraidRepCache(B.braided_object()).block(2, 2)
+                assert check_yang_baxter(BraidedObject.from_c(field, 4, out.c)).passed

@@ -249,7 +249,9 @@ class TestTransport:
         code = main(["transport", "--input", str(path), "--twist", "2"])
         out, err = capsys.readouterr()
         assert (code, err) == (1, "")
-        assert json.loads(out)["passed"] is False
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert {"name": "primitive_square", "passed": False} in report["checks"]
 
     def test_exactly_one_functor(self, files, capsys):
         assert main(["transport", "--input", files["ext"]]) == 2

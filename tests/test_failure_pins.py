@@ -79,7 +79,7 @@ def test_braided_algebra():
 
 
 def test_braided_coalgebra():
-    assert items(check_braided_coalgebra(Q, 2, Z2.delta, Z2.eps, BAD.c)) == [
+    assert items(check_braided_coalgebra(2, Z2.delta, Z2.eps, BAD.c)) == [
         ("coproduct_braids_left", False, "first difference at (2,1): 0 != 1"),
         ("coproduct_braids_right", False, "first difference at (0,1): 1 != 2"),
         ("counit_braids_left", False, "first difference at (0,1): 2 != 1"),

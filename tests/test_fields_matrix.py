@@ -13,7 +13,6 @@ from braidalg import (
     NotInvertible,
     ShapeError,
     prime_field,
-    vstack,
     whisker,
 )
 from braidalg.fields import MR_BOUND, FieldSpec, is_prime
@@ -197,11 +196,9 @@ class TestWhisker:
 
 
 class TestStackRows:
-    def test_matches_vstack_fold(self):
+    def test_stacks_rows_in_order(self):
         parts = [mat(F5, [[1, 2, 3]]), ExactMatrix.zeros(F5, 0, 3), mat(F5, [[4, 0, 1], [2, 2, 2]])]
-        expected = ExactMatrix.zeros(F5, 0, 3)
-        for m in parts:
-            expected = vstack(expected, m)
+        expected = mat(F5, [[1, 2, 3], [4, 0, 1], [2, 2, 2]])
         assert stack_rows(parts, F5, 3) == expected
 
     def test_empty_list_keeps_columns(self):

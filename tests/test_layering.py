@@ -1,5 +1,5 @@
-"""Every import in the library sits at module level, and no check is an
-``assert``.
+"""Every import in the library sits at module level, no check is an
+``assert``, and every parameter is read.
 
 A function-level import hides a dependency from the module header and lets
 a lower layer reach into a higher one at call time, so the guard parses each
@@ -8,6 +8,11 @@ module of ``src/braidalg`` and rejects any import below the top level.
 A library check must raise a ``BraidAlgError``: an ``assert`` vanishes under
 ``python -O`` and escapes the CLI's exit-code mapping, so a second guard
 rejects any ``assert`` statement in the same modules.
+
+A parameter that its function never reads is a promise the function does
+not keep, and every caller must still supply it, so a third guard rejects
+any parameter of a non-dunder function that its body does not read.  The
+receiver ``self`` or ``cls`` is exempt: a method may ignore its instance.
 """
 
 import ast
@@ -54,3 +59,32 @@ def test_no_assert_statement(path):
 def test_guard_sees_an_assert():
     source = "def f(x):\n    if x:\n        assert x > 0\n    return x\n"
     assert assert_lines(source) == [3]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter of a non-dunder function in
+    ``source`` that the function's body never reads."""
+    unread = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                  if p is not None and p.arg not in ("self", "cls")]
+        reads = {name.id for stmt in node.body for name in ast.walk(stmt)
+                 if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        unread += [f"{node.name}.{p}" for p in params if p not in reads]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_an_unread_parameter():
+    source = ("class K:\n    def g(self, y):\n        return y\n\n"
+              "def f(field, dim, *rest, **opts):\n    return dim, opts\n")
+    assert unread_parameters(source) == ["f.field", "f.rest"]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -199,6 +200,18 @@ class TestPrimitiveSquare:
         # h is not its own inverse: the transported braiding does not map
         # the transported primitives into their square
         assert not check_primfunct_square(FunctorData(h, h, 1), B)
+
+    @pytest.mark.parametrize("field", [RATIONALS, F5], ids=["Q", "F5"])
+    def test_singular_restriction_detected(self, field):
+        # x⊗x -> 0 keeps P⊗P = span{x⊗x} but restricts to c_P = 0, so P(B)
+        # is no braided object; the intact braidings restrict invertibly
+        B = exterior_line(field)
+        cells = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 0]]
+        singular = replace(B, c=ExactMatrix(field, cells))
+        F = scalar_twist(field, 2, 2)
+        assert not check_primfunct_square(F, singular)
+        assert check_primfunct_square(F, B)
+        assert check_primfunct_square(F, group_algebra_z2(field))
 
     def test_graded_dims_are_transport_invariant(self):
         rng = random.Random(23)
