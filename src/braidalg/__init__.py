@@ -46,7 +46,6 @@ from .errors import (
     BraidAlgError,
     FieldMismatch,
     LinearSolveError,
-    NoFactorization,
     NotAMorphism,
     NotClosedUnderBraiding,
     NotInvertible,

@@ -86,7 +86,7 @@ def _load_json(path: str, flag: str = "--input") -> dict:
             return json.load(fh)
     except OSError as exc:
         raise SchemaError(f"'{flag}': cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an integer too long, deep nesting
         raise SchemaError(f"'{flag}': {path} is not valid JSON: {exc}") from exc
 
 

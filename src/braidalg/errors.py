@@ -33,10 +33,6 @@ class NotAMorphism(BraidAlgError):
     """A map fails one of the structure-morphism conditions; the message names it."""
 
 
-class NoFactorization(BraidAlgError):
-    """A map does not factor through the given inclusion."""
-
-
 class TruncationOverflow(BraidAlgError):
     """A product would exceed the truncation degree."""
 

@@ -9,15 +9,19 @@ cell's type follows from its value, never from how it was computed.  A
 field-generic.  There is no floating point anywhere; equality is exact.
 
 Serialization: a rational prints as ``"a/b"`` (reduced, ``b > 0``) or ``"a"``;
-a prime-field element prints as its residue string.
+a prime-field element prints as its residue string.  A string is read back
+as ``"a"`` or ``"a/b"``, each part an integer string; an integer part beyond
+Python's digit limit for ``str`` is refused on input and on output.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import log10
 
-from .errors import FieldMismatch, NotInvertible
+from .errors import BraidAlgError, FieldMismatch, NotInvertible
 
 RATIONALS_KIND = "rationals"
 PRIME_KIND = "prime"
@@ -108,6 +112,10 @@ class FieldSpec:
                 raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
             return x % self.p
         if isinstance(x, str):
+            # only "a" and "a/b": Fraction also reads decimals and exponents,
+            # and "1e10000000" would cost time without bound
+            if "." in x or "e" in x or "E" in x:
+                raise ValueError(f"Invalid literal for Fraction: {x!r}")
             x = Fraction(x)
         if isinstance(x, Fraction) and x.denominator == 1:
             return x.numerator
@@ -148,7 +156,14 @@ class FieldSpec:
         return self.element(Fraction(1, 1) / x)
 
     def format(self, x) -> str:
-        return str(x)
+        try:
+            return str(x)
+        except ValueError as exc:  # an integer part beyond Python's str limit
+            n = max(abs(x.numerator), x.denominator)
+            k = int(n.bit_length() * log10(2))
+            digits = k + 1 if n >= 10 ** k else k
+            raise BraidAlgError(f"cannot print a scalar of {digits} digits: "
+                                f"the limit is {sys.get_int_max_str_digits()}") from exc
 
     def parse(self, s: str):
         return self.element(s)
@@ -162,12 +177,7 @@ class FieldSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "FieldSpec":
-        kind = obj.get("kind")
-        if kind == PRIME_KIND:
-            return FieldSpec(PRIME_KIND, obj.get("p"))
-        if kind == RATIONALS_KIND:
-            return FieldSpec(RATIONALS_KIND, obj.get("p"))
-        raise ValueError(f"unknown field kind {kind!r}")
+        return FieldSpec(obj.get("kind"), obj.get("p"))
 
     def __str__(self) -> str:
         return "Q" if self.kind == RATIONALS_KIND else f"F_{self.p}"

@@ -147,9 +147,6 @@ class ExactMatrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_field(self, other: "ExactMatrix") -> None:
-        require_same_field(self.field, other.field)
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._merge(other, negate=False)
 
@@ -158,7 +155,7 @@ class ExactMatrix:
 
     def _merge(self, other: "ExactMatrix", negate: bool) -> "ExactMatrix":
         """``self + other``, or ``self - other``, row by row over nonzeros."""
-        self._check_field(other)
+        require_same_field(self.field, other.field)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"cannot {'subtract' if negate else 'add'} "
                              f"{self.rows}x{self.cols} and {other.rows}x{other.cols}")
@@ -201,7 +198,7 @@ class ExactMatrix:
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product, the tensor product of linear maps."""
-        self._check_field(other)
+        require_same_field(self.field, other.field)
         norm = self.field.normalize
         width = other.cols
         out = (
@@ -293,7 +290,6 @@ class ExactMatrix:
         Raises ``LinearSolveError`` when the system is inconsistent or the
         solution is not unique (callers rely on injective coefficients).
         """
-        self._check_field(rhs)
         if rhs.rows != self.rows:
             raise ShapeError(f"rhs has {rhs.rows} rows, expected {self.rows}")
         aug = hstack(self, rhs)

@@ -25,7 +25,6 @@ from .braided import (
 from .errors import (
     BadDegree,
     LinearSolveError,
-    NoFactorization,
     NotAMorphism,
     NotClosedUnderBraiding,
     SpecViolation,
@@ -106,16 +105,14 @@ def check_bialgebra_morphism(f: ExactMatrix, B: BialgebraData, B2: BialgebraData
 def induced_map(f: ExactMatrix, B: BialgebraData, B2: BialgebraData) -> ExactMatrix:
     """The restriction of a bialgebra morphism to primitive spaces.
 
-    Solves ``xi' P(f) = f xi``; the solution exists because morphisms send
-    primitives to primitives, and is unique because ``xi'`` is injective.
+    Solves ``xi' P(f) = f xi``.  A checked morphism is unital and
+    comultiplicative, so ``Δ'(fx) = fx⊗1 + 1⊗fx`` for each primitive ``x``,
+    and the solve has its one solution because ``xi'`` is injective.
     """
     check_bialgebra_morphism(f, B, B2)
     source = primitives(B, check=False).inclusion
     target = primitives(B2, check=False).inclusion
-    try:
-        return target.solve(f * source)
-    except LinearSolveError as exc:
-        raise NoFactorization(str(exc)) from exc
+    return target.solve(f * source)
 
 
 # -- graded primitives of the truncated tensor bialgebra ---------------------

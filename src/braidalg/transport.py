@@ -116,31 +116,22 @@ def transport_bialgebra(F: FunctorData, B: BialgebraData) -> BialgebraData:
 
 
 def check_primfunct_square(F: FunctorData, B: BialgebraData) -> bool:
-    """Primitives of the transport against transport of the primitives:
-    equal dimensions, equal column spaces of the two inclusions, and
-    braidings conjugate under the induced change of basis.  ``B`` is not
-    checked; when ``c`` does not map ``P⊗P`` into itself on either side, or
-    restricts to a singular ``c_P``, ``P`` is no braided object and the square
-    does not hold.  A square that holds conjugates ``c_P`` to the other
-    side's restriction, so one invertibility test covers both."""
+    """Primitives of the transport against transport of the primitives: an
+    invertible ``t`` with ``xi' t = F(xi)`` (square only for equal
+    dimensions, and 0x0 for two zero spaces) and braidings conjugate under
+    it.  ``B`` is not checked; when ``c`` does not map ``P⊗P`` into itself on
+    either side, or restricts to a singular ``c_P``, ``P`` is no braided
+    object and the square does not hold.  A square that holds conjugates
+    ``c_P`` to the other side's restriction, so one invertibility test covers
+    both."""
     B2 = transport_bialgebra(F, B)
     try:
         P = primitives(B, check=False)
         P2 = primitives(B2, check=False)
         P.braided_object()
-    except (NotClosedUnderBraiding, NotInvertible):
-        return False
-    if P.dim != P2.dim:
-        return False
-    if P.dim == 0:
-        return True
-    try:
-        t = P2.inclusion.solve(F.g * P.inclusion)  # xi' t = F(xi)
-    except LinearSolveError:
-        return False
-    try:
+        t = P2.inclusion.solve(F.g * P.inclusion)
         t.inverse()
-    except NotInvertible:
+    except (NotClosedUnderBraiding, NotInvertible, LinearSolveError):
         return False
     lhs, rhs = braided_map(t.kron(t), P.braiding, P2.braiding)
     return lhs == rhs

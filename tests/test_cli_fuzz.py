@@ -28,7 +28,10 @@ BAD_FIELDS = [None, "q", [], {}, {"kind": "reals"}, {"kind": "prime"},
               {"kind": "prime", "p": "7"}, {"kind": "prime", "p": 7.0},
               {"kind": "prime", "p": 10 ** 30}, {"kind": "rationals", "p": 3}]
 BAD_DIMS = [None, True, "2", 2.0, -1, 0, 1, 3, [], 10 ** 6, 10 ** 40]
-BAD_CELLS = [None, True, False, 1.5, "x", "", "1/0", "1//2", [], {}]
+# a scalar string is "a" or "a/b": decimals and exponents are refused, and
+# an exponent would cost time without bound
+SPELLINGS = ["1.5", "1e3", "1e5000"]
+BAD_CELLS = [None, True, False, 1.5, "x", "", "1/0", "1//2", *SPELLINGS, [], {}]
 BAD_DEGREES = [None, True, "2", 2.5, 0, -1, 3, 40, 10 ** 6, []]
 
 
@@ -260,3 +263,35 @@ def test_stray_argument(paths, argv, at, junk):
     # an extra positional token is never part of a valid command line
     argv = [a.format(**paths) for a in argv]
     assert_refused(argv[:at] + [junk] + argv[at:])
+
+
+@pytest.mark.parametrize("cell", SPELLINGS)
+def test_scalar_spelling_is_a_or_a_over_b(paths, cell):
+    obj = copy.deepcopy(BRAIDING)
+    obj["c"][0][0] = cell
+    with open(paths["f"], "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    code, out, err = call(["verify", "--input", paths["f"]])
+    assert (code, out) == (2, "")
+    assert err.startswith("schema error: 'c': "), err
+
+
+# q = 10^3000 + 1 reads in, but c^{2,1} holds q^2, beyond Python's 4300-digit
+# limit for str: the CLI reports it as a failed computation
+@pytest.mark.parametrize("argv", [["braidrep", "--m", "2", "--n", "1"], ["build", "--degree", "3"]],
+                         ids=["braidrep", "build"])
+def test_result_too_long_to_print(paths, argv):
+    q = str(10 ** 3000 + 1)
+    with open(paths["f"], "w", encoding="utf-8") as fh:
+        json.dump({"field": {"kind": "rationals"}, "dim": 1, "c": [[q]]}, fh)
+    code, out, err = call([argv[0], "--input", paths["f"], *argv[1:]])
+    assert (code, out) == (1, "")
+    assert err == "error: cannot print a scalar of 6001 digits: the limit is 4300\n", err
+
+
+def test_deeply_nested_json(paths):
+    with open(paths["f"], "w", encoding="utf-8") as fh:
+        fh.write("[" * 200_000 + "]" * 200_000)
+    code, out, err = call(["verify", "--input", paths["f"]])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"schema error: '--input': {paths['f']} is not valid JSON: "), err

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from braidalg import (
     RATIONALS,
+    BraidAlgError,
     ExactMatrix,
     FieldMismatch,
     LinearSolveError,
@@ -95,8 +96,23 @@ class TestFieldSpec:
         assert RATIONALS.format(RATIONALS.parse("-3/6")) == "-1/2"
         assert RATIONALS.parse("4/2") == 2
         assert RATIONALS.format(RATIONALS.parse("4/2")) == "2"
+        assert RATIONALS.parse(" +007 ") == 7 and RATIONALS.parse("1_000/3") == Fraction(1000, 3)
         assert F5.parse("7") == 2
         assert F5.format(F5.parse("-1")) == "4"
+
+    @pytest.mark.parametrize("text", ["1.5", "1e3", "1E3", "2/1e2", ".5", "1/0.5", "inf"])
+    def test_rationals_read_only_a_and_a_over_b(self, text):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            RATIONALS.element(text)
+
+    @pytest.mark.parametrize("x, digits", [
+        (10 ** 4300, 4301), (-(10 ** 5000) + 1, 5000),
+        (Fraction(1, 10 ** 4400), 4401), (Fraction(10 ** 4400 + 1, 3), 4401),
+    ], ids=["int", "negative", "denominator", "numerator"])
+    def test_format_names_the_digits_beyond_the_limit(self, x, digits):
+        with pytest.raises(BraidAlgError, match=f"cannot print a scalar of {digits} digits"):
+            RATIONALS.format(x)
+        assert RATIONALS.format(10 ** 4299) == "1" + "0" * 4299
 
     def test_bool_is_not_a_scalar(self):
         for field in (RATIONALS, F5):

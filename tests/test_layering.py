@@ -1,5 +1,6 @@
 """Every import in the library sits at module level, no check is an
-``assert``, and every parameter is read.
+``assert``, every parameter is read, and every error class is raised and
+tested.
 
 A function-level import hides a dependency from the module header and lets
 a lower layer reach into a higher one at call time, so the guard parses each
@@ -13,6 +14,12 @@ A parameter that its function never reads is a promise the function does
 not keep, and every caller must still supply it, so a third guard rejects
 any parameter of a non-dunder function that its body does not read.  The
 receiver ``self`` or ``cls`` is exempt: a method may ignore its instance.
+
+An error class that no module raises is a branch that callers may catch but
+never see, and one that no test names is raised where nobody has seen it
+happen.  So a fourth guard requires each ``BraidAlgError`` subclass in
+``errors.py`` to appear in some ``raise`` statement of the package and to be
+named in some test module.
 """
 
 import ast
@@ -22,6 +29,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "braidalg"
 MODULES = sorted(PACKAGE.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
 
 
 def nested_imports(source: str) -> list[int]:
@@ -88,3 +96,58 @@ def test_guard_sees_an_unread_parameter():
     source = ("class K:\n    def g(self, y):\n        return y\n\n"
               "def f(field, dim, *rest, **opts):\n    return dim, opts\n")
     assert unread_parameters(source) == ["f.field", "f.rest"]
+
+
+def error_classes(source: str) -> list[str]:
+    """The classes of ``source`` derived from ``BraidAlgError``, directly or not."""
+    found = ["BraidAlgError"]
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in found for b in node.bases):
+            found.append(node.name)
+    return found[1:]
+
+
+def raised_names(source: str) -> set[str]:
+    """The names that the ``raise`` statements of ``source`` raise or call."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                out.add(exc.id)
+    return out
+
+
+def used_names(source: str) -> set[str]:
+    """The names and attribute names that the code of ``source`` reads."""
+    tree = ast.parse(source)
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def unseen_errors(errors: str, library: list[str], tests: list[str]) -> list[str]:
+    """The error classes of ``errors`` that no ``library`` source raises or
+    that no ``tests`` source names."""
+    raised = set().union(*map(raised_names, library))
+    named = set().union(*map(used_names, tests))
+    return [name for name in error_classes(errors) if name not in raised & named]
+
+
+def test_every_error_class_is_raised_and_tested():
+    errors = (PACKAGE / "errors.py").read_text(encoding="utf-8")
+    assert "ShapeError" in error_classes(errors)
+    library = [p.read_text(encoding="utf-8") for p in MODULES]
+    tests = [p.read_text(encoding="utf-8") for p in TESTS]
+    assert unseen_errors(errors, library, tests) == []
+
+
+def test_guard_sees_an_error_never_raised():
+    errors = ("class BraidAlgError(Exception):\n    pass\n\nclass A(BraidAlgError):\n    pass\n\n"
+              "class B(A):\n    pass\n\nclass C(ValueError):\n    pass\n")
+    assert error_classes(errors) == ["A", "B"]
+    library = "def f(x):\n    if x:\n        raise A(x)\n    try:\n        g()\n    except B:\n        raise\n"
+    assert raised_names(library) == {"A"}
+    assert unseen_errors(errors, [library], ["with raises(A):\n    f(1)\n"]) == ["B"]
+    assert unseen_errors(errors, [library], ["x = 1\n"]) == ["A", "B"]
+    assert unseen_errors(errors, [library, "raise B\n"], ["errors.A, errors.B\n"]) == []

@@ -6,6 +6,7 @@ from braidalg import (
     BialgebraData,
     ExactMatrix,
     NotAMorphism,
+    NotClosedUnderBraiding,
     SpecViolation,
     build_truncated,
     check_yang_baxter,
@@ -59,6 +60,13 @@ class TestFiniteDimensional:
                               flip_braiding(RATIONALS, 2).c)
         with pytest.raises(SpecViolation):
             primitives(wrong)
+
+    def test_unchecked_braiding_not_closed(self):
+        # x⊗x -> 1⊗1 - x⊗x leaves P⊗P = span{x⊗x}, so no restriction exists
+        B = exterior_line(RATIONALS)
+        c = ExactMatrix(RATIONALS, [[1, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
+        with pytest.raises(NotClosedUnderBraiding):
+            primitives(BialgebraData(B.field, B.dim, B.m, B.u, B.delta, B.eps, c), check=False)
 
     def test_restricted_braiding_is_yang_baxter(self):
         space = primitives(exterior_line(F5))

@@ -195,8 +195,12 @@ class TestPrimitiveSquare:
         diag = ExactMatrix(RATIONALS, [[2, 0], [0, 1]])
         h = ExactMatrix(RATIONALS, [[1, 1], [0, 1]])
         # g_inv = 1 does not invert diag(2, 1): the unit of the transport is
-        # 2·1, which makes 1 primitive too, so the dimensions differ
+        # 2·1, which makes 1 primitive too, so the dimensions differ and t is
+        # 2x1; transporting that back by (1, diag(2, 1)) takes 1 out again,
+        # and xi' t = xi has no solution
         assert not check_primfunct_square(FunctorData(diag, one, 1), B)
+        wider = transport_bialgebra(FunctorData(diag, one, 1), B)
+        assert not check_primfunct_square(FunctorData(one, diag, 1), wider)
         # h is not its own inverse: the transported braiding does not map
         # the transported primitives into their square
         assert not check_primfunct_square(FunctorData(h, h, 1), B)
