@@ -26,7 +26,8 @@ Conventions, pinned once and used everywhere:
   primitive space of a group algebra, for instance).
 
 ``nullspace`` returns a pinned canonical kernel basis so distinct runs and
-distinct construction routes yield bit-identical matrices.
+distinct construction routes yield bit-identical matrices; ``column_basis``
+is that canonical form, for any spanning set of a subspace.
 """
 
 from __future__ import annotations
@@ -256,9 +257,8 @@ class ExactMatrix:
         """Canonical kernel basis, one basis vector per column.
 
         The raw kernel basis from the RREF parameterization is itself put in
-        column-reduced canonical form (RREF of its transpose, zero rows
-        dropped), so any two matrices with the same row space give the
-        bit-identical result.
+        canonical form by ``column_basis``, so any two matrices with the same
+        row space give the bit-identical result.
         """
         f = self.field
         R, pivots = self.rref()
@@ -271,10 +271,7 @@ class ExactMatrix:
             for fc, x in row.items():
                 if fc != pc:
                     vectors[fc][pc] = f.neg(x)
-        raw_t = ExactMatrix._raw(f, vectors.values(), len(vectors), self.cols)
-        canon, piv = raw_t.rref()
-        basis_t = ExactMatrix._raw(f, canon.nonzeros[:len(piv)], len(piv), self.cols)
-        return basis_t.transpose()
+        return column_basis(ExactMatrix._raw(f, vectors.values(), len(vectors), self.cols))
 
     def inverse(self) -> "ExactMatrix":
         if self.rows != self.cols:
@@ -290,10 +287,7 @@ class ExactMatrix:
         Raises ``LinearSolveError`` when the system is inconsistent or the
         solution is not unique (callers rely on injective coefficients).
         """
-        if rhs.rows != self.rows:
-            raise ShapeError(f"rhs has {rhs.rows} rows, expected {self.rows}")
-        aug = hstack(self, rhs)
-        R, pivots = aug.rref()
+        R, pivots = hstack(self, rhs).rref()
         if any(p >= self.cols for p in pivots):
             raise LinearSolveError("inconsistent system")
         if len(pivots) < self.cols:
@@ -329,6 +323,21 @@ def _clear(f: FieldSpec, row: dict, pivot_row: dict, c: int) -> None:
             del row[j]
 
 
+def column_basis(spanning: ExactMatrix) -> ExactMatrix:
+    """Canonical basis of the span of the rows of ``spanning``, one vector
+    per column: the RREF with its zero rows dropped, transposed.
+
+    The RREF of a row space is unique, so any two spanning sets of one space
+    give the bit-identical basis, and so does any order of the rows.  The
+    sparsest rows go first: pivot rows found early are then sparse, and
+    clearing against them fills in fewer cells.
+    """
+    f, cols = spanning.field, spanning.cols
+    rows = sorted(spanning.nonzeros, key=len)
+    canon, piv = ExactMatrix._raw(f, rows, len(rows), cols).rref()
+    return ExactMatrix._raw(f, canon.nonzeros[:len(piv)], len(piv), cols).transpose()
+
+
 def _right_part(rows, offset: int):
     """The cells at columns ``>= offset`` of each row, shifted left by it."""
     return ({j - offset: x for j, x in row.items() if j >= offset} for row in rows)
@@ -337,7 +346,7 @@ def _right_part(rows, offset: int):
 def hstack(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     require_same_field(a.field, b.field)
     if a.rows != b.rows:
-        raise ShapeError("hstack needs equal row counts")
+        raise ShapeError(f"hstack needs equal row counts, got {a.rows}x{a.cols} and {b.rows}x{b.cols}")
     shift = a.cols
     out = ({**ra, **{j + shift: x for j, x in rb.items()}} for ra, rb in zip(a.nonzeros, b.nonzeros))
     return ExactMatrix._raw(a.field, out, a.rows, a.cols + b.cols)

@@ -9,6 +9,14 @@ the injective matrix ``xi ⊗ xi``, so any residual is an error, never a
 tolerance case.  The restriction is not checked again: ``(xi⊗xi) c_P =
 c (xi⊗xi)`` with ``xi⊗xi`` injective carries the invertibility and the
 Yang-Baxter equation of ``c`` over to ``c_P``.
+
+The graded primitives of the truncated tensor bialgebra take one of two
+routes per degree ``n``.  When the braiding is a symmetry (``c·c = 1``) and
+``n`` is nonzero in the field, ``P_n`` is the image of the Dynkin–Specht–Wever
+operator, spanned by the braided commutators of ``P_{n-1}`` with ``V``.
+Otherwise it is the kernel of the interior coproduct blocks, thinned by the
+primitives of lower degree.  Both routes give the canonical basis of
+``column_basis``, so they agree byte for byte and mix degree by degree.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .errors import (
     SpecViolation,
 )
 from .fields import FieldSpec
-from .matrix import ExactMatrix, whisker
+from .matrix import ExactMatrix, column_basis, whisker
 from .tensoralg import TruncatedTensorBialgebra
 
 
@@ -121,14 +129,30 @@ def induced_map(f: ExactMatrix, B: BialgebraData, B2: BialgebraData) -> ExactMat
 def primitives_of_tensor(T: TruncatedTensorBialgebra, n: int) -> ExactMatrix:
     """Canonical basis of the degree-``n`` primitives, as columns in ``V^{⊗n}``.
 
-    The extreme coproduct blocks are identities and cancel against the two
-    unit summands, so degree-``n`` primitivity is the vanishing of the
-    interior blocks ``Δ_{k,n-k}``.  ``T.V.c`` must satisfy Yang-Baxter, so
-    that ``T`` is coassociative: then once ``Δ_{i,n-i} x = 0`` for all
-    ``i < k``, ``Δ_{k,n-k} x`` lies in ``P_k ⊗ V^{⊗(n-k)}``, and it vanishes
-    iff its rows at the leading coordinates of the basis of ``P_k`` do.  Only
-    those rows are stacked; by induction the kernel is the full stack's.
-    The first query on ``T`` raises ``SpecViolation`` if Yang-Baxter fails.
+    ``T.V.c`` must satisfy Yang-Baxter, so that ``T`` is coassociative; the
+    first query on ``T`` raises ``SpecViolation`` if it fails.  The basis is
+    found by one of two routes, which give the same bytes: both put their
+    spanning set in the canonical form of ``column_basis``.
+
+    *Image route*, when ``c·c = 1`` on ``V⊗V`` and ``n`` is nonzero in the
+    field.  For a symmetry the primitives hold the free c-Lie algebra on
+    ``V`` (Gurevich), and the Dynkin–Specht–Wever operator
+    ``θ_n = (1 - c^{n-1,1}) ∘ … ∘ ((1 - c^{1,1}) ⊗ 1^{⊗(n-2)})`` maps
+    ``V^{⊗n}`` into ``P_n`` and acts on ``P_n`` as multiplication by ``n``,
+    so ``P_n = im θ_n``.  Since ``θ_n = (1 - c^{n-1,1})(θ_{n-1} ⊗ 1)`` and
+    the braided commutator ``[x, v] = (1 - c^{n-1,1})(x ⊗ v)`` of a
+    primitive ``x`` with ``v`` in ``V`` is primitive for a symmetry,
+    ``im θ_n ⊆ [P_{n-1}, V] ⊆ P_n = im θ_n``.  So the columns of
+    ``(1 - c^{n-1,1})(ξ_{n-1} ⊗ 1_V)`` span ``P_n``, whichever route gave
+    ``ξ_{n-1}``.  No coproduct block is read.
+
+    *Kernel route*, otherwise.  The extreme coproduct blocks are identities
+    and cancel against the two unit summands, so degree-``n`` primitivity is
+    the vanishing of the interior blocks ``Δ_{k,n-k}``.  By coassociativity,
+    once ``Δ_{i,n-i} x = 0`` for all ``i < k``, ``Δ_{k,n-k} x`` lies in
+    ``P_k ⊗ V^{⊗(n-k)}``, and it vanishes iff its rows at the leading
+    coordinates of the basis of ``P_k`` do.  Only those rows are stacked; by
+    induction the kernel is the full stack's.
     """
     if not (1 <= n <= T.N):
         raise BadDegree(f"degree {n} outside 1..{T.N}")
@@ -142,14 +166,34 @@ def _tensor_primitives(T: TruncatedTensorBialgebra, n: int) -> tuple[ExactMatrix
     the leading (first nonzero) row of each of its columns."""
     memo = T._primitive_memo
     if n not in memo:
-        rows = []  # shared slices: the rows u ⊗ V^{⊗(n-k)} for each lead u of ξ_k
-        for k in range(1, n):
-            block, right = T.coproduct_block(k, n).nonzeros, T.component_dim(n - k)
-            for u in _tensor_primitives(T, k)[1]:
-                rows.extend(block[u * right:(u + 1) * right])
-        xi = ExactMatrix._raw(T.field, rows, len(rows), T.component_dim(n)).nullspace()
+        if _image_route(T, n):
+            xi = column_basis(_bracket_span(T, n).transpose())
+        else:
+            rows = []  # shared slices: the rows u ⊗ V^{⊗(n-k)} for each lead u of ξ_k
+            for k in range(1, n):
+                block, right = T.coproduct_block(k, n).nonzeros, T.component_dim(n - k)
+                for u in _tensor_primitives(T, k)[1]:
+                    rows.extend(block[u * right:(u + 1) * right])
+            xi = ExactMatrix._raw(T.field, rows, len(rows), T.component_dim(n)).nullspace()
         memo[n] = xi, [min(col) for col in xi.transpose().nonzeros]
     return memo[n]
+
+
+def _image_route(T: TruncatedTensorBialgebra, n: int) -> bool:
+    """Whether ``P_n`` is the image of the Dynkin operator: the braiding is a
+    symmetry and ``n`` is nonzero in the field."""
+    p = T.field.p
+    return T.symmetric and (p is None or n % p != 0)
+
+
+def _bracket_span(T: TruncatedTensorBialgebra, n: int) -> ExactMatrix:
+    """Columns spanning ``[P_{n-1}, V]``: ``(1 - c^{n-1,1})(ξ_{n-1} ⊗ 1_V)``,
+    and the identity in degree 1."""
+    d = T.V.dim
+    if n == 1:
+        return ExactMatrix.identity(T.field, d)
+    lifted = whisker(1, _tensor_primitives(T, n - 1)[0], d)
+    return lifted - T.braid.block(n - 1, 1) * lifted
 
 
 def tensor_primitive_dims(T: TruncatedTensorBialgebra) -> list[int]:

@@ -9,13 +9,20 @@ degree-1 element ``v`` to ``v⊗1 + 1⊗v``.
 Every structure map here preserves total degree, so truncating at ``N`` is
 exact: any axiom restricted to total degree ``<= N`` involves only stored
 blocks, and building with ``N`` or ``N+1`` gives identical shared blocks.
+
+Coproduct blocks are built on demand: ``build_truncated`` stores degree 0
+only, and the first request for a block of degree ``n`` builds every missing
+degree up to ``n``, in order.  Whatever reads a block (the axiom suite, a
+build dump, the kernel route of the graded primitives) builds what it reads.
+The image route of the graded primitives, taken for a symmetric braiding,
+reads exchange blocks only, so it never builds a coproduct block.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field as dc_field
-from functools import reduce
+from functools import cached_property, reduce
 
 from .braided import AxiomReport, BraidedObject, compare, coproduct_braids, hexagon, mirror
 from .braidrep import BraidRepCache
@@ -30,6 +37,7 @@ class TruncatedTensorBialgebra:
     V: BraidedObject
     N: int
     braid: BraidRepCache
+    # (k, n) -> Δ_{k,n-k}, filled degree by degree by ``coproduct_block``
     coproduct_blocks: dict[tuple[int, int], ExactMatrix]
     # degree -> (primitive basis, its leading rows), filled by ``primitives_of_tensor``
     _primitive_memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
@@ -45,12 +53,43 @@ class TruncatedTensorBialgebra:
         if not (0 <= n <= self.N):
             raise BadDegree(f"degree {n} outside 0..{self.N}")
 
+    @cached_property
+    def symmetric(self) -> bool:
+        """Whether the braiding is a symmetry, ``c·c = 1`` on ``V⊗V``."""
+        return (self.V.c * self.V.c).is_identity()
+
     def coproduct_block(self, k: int, n: int) -> ExactMatrix:
-        """Component ``V^{⊗n} -> V^{⊗k} ⊗ V^{⊗(n-k)}`` of the coproduct."""
+        """Component ``V^{⊗n} -> V^{⊗k} ⊗ V^{⊗(n-k)}`` of the coproduct,
+        built with every missing degree below it on first request."""
         self._degree_gate(n)
         if not (0 <= k <= n):
             raise BadDegree(f"block ({k},{n}) outside 0<=k<=n")
-        return self.coproduct_blocks[(k, n)]
+        blocks = self.coproduct_blocks
+        if (k, n) not in blocks:
+            for m in range(1, n + 1):
+                if (m, m) not in blocks:
+                    self._build_coproduct_degree(m)
+        return blocks[(k, n)]
+
+    def _build_coproduct_degree(self, n: int) -> None:
+        """Store ``Δ_{k,n-k}`` for ``k = 0..n`` from the blocks of degree ``n - 1``.
+
+        Degree ``n`` is reached by peeling the last tensor factor: with
+        ``w ⊗ v`` in ``V^{⊗(n-1)} ⊗ V``, the two coproduct summands of ``v``
+        contribute ``Δ_{k,n-1} ⊗ V`` and ``(V^{⊗(k-1)} ⊗ c^{n-k,1})(Δ_{k-1,n-1} ⊗ V)``,
+        the exchange operator carrying ``v`` through the right leg.
+        """
+        blocks, d = self.coproduct_blocks, self.V.dim
+        below = None  # Δ_{k-1,n-1} ⊗ V, the first summand of split k - 1
+        for k in range(n + 1):
+            here = whisker(1, blocks[(k, n - 1)], d) if k < n else None
+            if below is None:
+                total = here
+            else:
+                moved = whisker(d ** (k - 1), self.braid.block(n - k, 1), 1, below)
+                total = moved if here is None else here + moved
+            blocks[(k, n)] = total
+            below = here
 
     def counit_block(self, n: int) -> ExactMatrix:
         """The counit kills every positive degree and fixes degree 0."""
@@ -93,30 +132,11 @@ class TruncatedTensorBialgebra:
 
 
 def build_truncated(V: BraidedObject, N: int) -> TruncatedTensorBialgebra:
-    """Construct all coproduct blocks up to total degree ``N``.
-
-    Degree ``n`` is reached by peeling the last tensor factor: with
-    ``w ⊗ v`` in ``V^{⊗(n-1)} ⊗ V``, the two coproduct summands of ``v``
-    contribute ``Δ_{k,n-1} ⊗ V`` and ``(V^{⊗(k-1)} ⊗ c^{n-k,1})(Δ_{k-1,n-1} ⊗ V)``,
-    the exchange operator carrying ``v`` through the right leg.
-    """
+    """The truncated tensor bialgebra up to total degree ``N``, holding the
+    degree-0 coproduct block; ``coproduct_block`` builds the others."""
     if N < 1:
         raise BadTruncation(f"truncation degree must be >= 1, got {N}")
-    braid = BraidRepCache(V)
-    f, d = V.field, V.dim
-    blocks: dict[tuple[int, int], ExactMatrix] = {(0, 0): ExactMatrix.identity(f, 1)}
-    for n in range(1, N + 1):
-        below = None  # Δ_{k-1,n-1} ⊗ V, the first summand of split k - 1
-        for k in range(n + 1):
-            here = whisker(1, blocks[(k, n - 1)], d) if k < n else None
-            if below is None:
-                total = here
-            else:
-                moved = whisker(d ** (k - 1), braid.block(n - k, 1), 1, below)
-                total = moved if here is None else here + moved
-            blocks[(k, n)] = total
-            below = here
-    return TruncatedTensorBialgebra(V, N, braid, blocks)
+    return TruncatedTensorBialgebra(V, N, BraidRepCache(V), {(0, 0): ExactMatrix.identity(V.field, 1)})
 
 
 def check_truncated_axioms(T: TruncatedTensorBialgebra) -> AxiomReport:

@@ -10,8 +10,9 @@ from itertools import combinations
 from math import gcd
 
 from braidalg.braided import CheckItem
+from braidalg.braidrep import BraidRepCache
 from braidalg.errors import BadDegree
-from braidalg.matrix import ExactMatrix, stack_rows
+from braidalg.matrix import ExactMatrix, stack_rows, whisker
 
 
 def digits_of(flat, length, d):
@@ -130,6 +131,40 @@ def full_stack_primitives(T, n):
     interior = [T.coproduct_block(k, n) for k in range(1, n)]
     stacked = stack_rows(interior, T.field, T.component_dim(n))
     return stacked.nullspace()
+
+
+def dynkin_operator(T, n):
+    """The Dynkin–Specht–Wever operator ``θ_n`` on ``V^{⊗n}``, built from the
+    identity with ``n - 1`` factors ``(1 - c^{k-1,1}) ⊗ 1^{⊗(n-k)}``: the
+    operator whose column space ``primitives_of_tensor`` finds, for a
+    symmetry in degrees nonzero in the field, as the span of the braided
+    commutators ``[P_{n-1}, V]``."""
+    d = T.V.dim
+    theta = ExactMatrix.identity(T.field, d ** n)
+    for k in range(2, n + 1):
+        theta = theta - whisker(1, T.braid.block(k - 1, 1), d ** (n - k), theta)
+    return theta
+
+
+def eager_coproduct_blocks(V, N):
+    """Every coproduct block of the truncated tensor bialgebra up to degree
+    ``N``, by the loop ``build_truncated`` ran before blocks were built on
+    demand: all degrees in one pass, in order."""
+    braid = BraidRepCache(V)
+    f, d = V.field, V.dim
+    blocks = {(0, 0): ExactMatrix.identity(f, 1)}
+    for n in range(1, N + 1):
+        below = None  # Δ_{k-1,n-1} ⊗ V, the first summand of split k - 1
+        for k in range(n + 1):
+            here = whisker(1, blocks[(k, n - 1)], d) if k < n else None
+            if below is None:
+                total = here
+            else:
+                moved = whisker(d ** (k - 1), braid.block(n - k, 1), 1, below)
+                total = moved if here is None else here + moved
+            blocks[(k, n)] = total
+            below = here
+    return blocks
 
 
 def iterated_product_rightfold(A, n):

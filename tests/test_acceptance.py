@@ -250,9 +250,18 @@ def test_criterion_11_primitive_frontier():
 
 
 def test_criterion_12_primitive_frontier_one_degree_up():
-    # criterion 11 one degree further in each dimension: degree 10 at d=2
-    # alone eliminates a 2440 x 1024 stack over Q (9216 x 1024 unthinned)
+    # criterion 11 one degree further in each dimension; the flip is a
+    # symmetry, so degree 10 at d=2 eliminates the 112 x 1024 spanning set of
+    # [P_9, V] over Q, not the 2440 x 1024 thinned coproduct stack
     with budget("12 primitive frontier", 30.0):
         for d, N in ((2, 10), (3, 7)):
+            T = build_truncated(flip_braiding(RATIONALS, d), N)
+            assert tensor_primitive_dims(T) == [witt_dimension(d, n) for n in range(1, N + 1)]
+
+
+def test_criterion_13_primitive_frontier_image():
+    # one degree beyond criterion 12, reached by the image route alone
+    with budget("13 primitive frontier", 30.0):
+        for d, N in ((2, 11), (3, 8)):
             T = build_truncated(flip_braiding(RATIONALS, d), N)
             assert tensor_primitive_dims(T) == [witt_dimension(d, n) for n in range(1, N + 1)]

@@ -19,7 +19,8 @@ from braidalg.gallery import (
     super_braiding,
 )
 
-from oracles import gaussian_binomial, unshuffle_block
+from braidalg.primitives import tensor_primitive_dims
+from oracles import eager_coproduct_blocks, gaussian_binomial, unshuffle_block
 
 F5 = prime_field(5)
 
@@ -170,6 +171,48 @@ class TestStructure:
                 assert small.coproduct_block(k, n) == large.coproduct_block(k, n)
 
 
+def cells(m):
+    return [(i, j, x, type(x)) for i, row in enumerate(m.nonzeros) for j, x in sorted(row.items())]
+
+
+class TestOnDemandBuild:
+    """Coproduct blocks are built when first read, all missing degrees up
+    to the one asked for, in order."""
+
+    def test_build_holds_degree_zero_only(self):
+        T = build_truncated(flip_braiding(RATIONALS, 2), 5)
+        assert list(T.coproduct_blocks) == [(0, 0)]
+
+    @pytest.mark.parametrize("name", [name for name, _ in braiding_gallery()])
+    def test_out_of_order_requests_match_the_eager_loop(self, name):
+        V = dict(braiding_gallery())[name]
+        T = build_truncated(V, 5)
+        T.coproduct_block(2, 5)
+        assert set(T.coproduct_blocks) == {(k, n) for n in range(6) for k in range(n + 1)}
+        eager = eager_coproduct_blocks(V, 5)
+        for n in (3, 0, 5, 1, 4, 2):
+            for k in range(n + 1):
+                got, want = T.coproduct_block(k, n), eager[(k, n)]
+                assert (got.rows, got.cols) == (want.rows, want.cols)
+                assert cells(got) == cells(want), (name, k, n)
+
+    def test_a_low_request_builds_no_higher_degree(self):
+        T = build_truncated(super_braiding(RATIONALS, (0, 1)), 5)
+        T.coproduct_block(1, 3)
+        assert max(n for _, n in T.coproduct_blocks) == 3
+
+    def test_image_route_builds_no_coproduct_block(self):
+        T = build_truncated(flip_braiding(RATIONALS, 2), 7)
+        tensor_primitive_dims(T)
+        assert list(T.coproduct_blocks) == [(0, 0)]
+
+    def test_kernel_degrees_build_only_up_to_themselves(self):
+        # over F_5 degree 5 takes the kernel route, degrees 6 and 7 the image route
+        T = build_truncated(flip_braiding(F5, 2), 7)
+        tensor_primitive_dims(T)
+        assert max(n for _, n in T.coproduct_blocks) == 5
+
+
 class TestAxiomSuite:
     def test_flip_d2_rationals(self):
         T = build_truncated(flip_braiding(RATIONALS, 2), 4)
@@ -185,6 +228,7 @@ class TestAxiomSuite:
 
     def test_injected_fault_is_detected(self):
         T = build_truncated(flip_braiding(RATIONALS, 2), 3)
+        T.coproduct_block(3, 3)  # blocks are built on demand: build every degree first
         blocks = dict(T.coproduct_blocks)
         grid = [list(r) for r in blocks[(1, 2)].data]
         grid[0][0] = RATIONALS.element(1)  # corrupt a single block entry
