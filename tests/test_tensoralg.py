@@ -18,8 +18,8 @@ from braidalg.gallery import (
     scalar_braiding,
     super_braiding,
 )
-
 from braidalg.primitives import tensor_primitive_dims
+
 from oracles import eager_coproduct_blocks, gaussian_binomial, unshuffle_block
 
 F5 = prime_field(5)
