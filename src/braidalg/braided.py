@@ -15,6 +15,7 @@ its equation: ``hexagon``, ``braids_past_product``, ``coproduct_braids`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import NotInvertible, ShapeError, SpecViolation
 from .fields import FieldSpec
@@ -89,6 +90,12 @@ class BraidedObject:
     def from_c(cls, field: FieldSpec, dim: int, c: ExactMatrix) -> "BraidedObject":
         _shape_gate(c, dim, "braiding")
         return cls(field, dim, c, c.inverse())
+
+    @cached_property
+    def yang_baxter(self) -> CheckItem:
+        """The quantum Yang-Baxter equation for ``c``, decided once per object."""
+        lhs, rhs = hexagon(self.c, self.c, self.c, self.dim, self.dim, self.dim)
+        return compare("yang_baxter", rhs, lhs)
 
     def inverse_object(self) -> "BraidedObject":
         """The same space braided by the inverse operator."""
@@ -202,11 +209,6 @@ def _shape_gate(c: ExactMatrix, dim: int, what: str) -> None:
         raise ShapeError(f"{what} must be {dim * dim}x{dim * dim}, got {c.rows}x{c.cols}")
 
 
-def yang_baxter_holds(c: ExactMatrix, dim: int) -> CheckItem:
-    lhs, rhs = hexagon(c, c, c, dim, dim, dim)
-    return compare("yang_baxter", rhs, lhs)
-
-
 def check_yang_baxter(V: BraidedObject) -> AxiomReport:
     """Invertibility plus the quantum Yang-Baxter equation for ``V.c``."""
     _shape_gate(V.c, V.dim, "braiding")
@@ -214,7 +216,7 @@ def check_yang_baxter(V: BraidedObject) -> AxiomReport:
     ident2 = ExactMatrix.identity(V.field, V.dim * V.dim)
     report.add(compare("invertible_right", V.c * V.c_inv, ident2))
     report.add(compare("invertible_left", V.c_inv * V.c, ident2))
-    report.add(yang_baxter_holds(V.c, V.dim))
+    report.add(V.yang_baxter)
     return report
 
 

@@ -10,12 +10,14 @@ Every structure map here preserves total degree, so truncating at ``N`` is
 exact: any axiom restricted to total degree ``<= N`` involves only stored
 blocks, and building with ``N`` or ``N+1`` gives identical shared blocks.
 
-Coproduct blocks are built on demand: ``build_truncated`` stores degree 0
-only, and the first request for a block of degree ``n`` builds every missing
-degree up to ``n``, in order.  Whatever reads a block (the axiom suite, a
+Coproduct blocks are built on demand, one block at a time: ``build_truncated``
+stores degree 0 only, and the first request for ``Δ_{k,n-k}`` builds it from
+``Δ_{k,n-1-k}`` and ``Δ_{k-1,n-k}``, recursively, so it builds only the
+triangle of blocks it depends on.  Whatever reads a block (the axiom suite, a
 build dump, the kernel route of the graded primitives) builds what it reads.
-The image route of the graded primitives, taken for a symmetric braiding,
-reads exchange blocks only, so it never builds a coproduct block.
+The image route of the graded primitives (a symmetric braiding in degrees
+nonzero in the field, and the flip in every degree) reads exchange blocks
+only, so it never builds a coproduct block.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class TruncatedTensorBialgebra:
     V: BraidedObject
     N: int
     braid: BraidRepCache
-    # (k, n) -> Δ_{k,n-k}, filled degree by degree by ``coproduct_block``
+    # (k, n) -> Δ_{k,n-k}, filled block by block by ``coproduct_block``
     coproduct_blocks: dict[tuple[int, int], ExactMatrix]
     # degree -> (primitive basis, its leading rows), filled by ``primitives_of_tensor``
     _primitive_memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
@@ -58,38 +60,37 @@ class TruncatedTensorBialgebra:
         """Whether the braiding is a symmetry, ``c·c = 1`` on ``V⊗V``."""
         return (self.V.c * self.V.c).is_identity()
 
+    @cached_property
+    def flip(self) -> bool:
+        """Whether the braiding is the flip ``e_i ⊗ e_j -> e_j ⊗ e_i``."""
+        d = self.V.dim
+        return all(row == {(r % d) * d + r // d: 1} for r, row in enumerate(self.V.c.nonzeros))
+
     def coproduct_block(self, k: int, n: int) -> ExactMatrix:
         """Component ``V^{⊗n} -> V^{⊗k} ⊗ V^{⊗(n-k)}`` of the coproduct,
-        built with every missing degree below it on first request."""
+        built on first request from the two blocks of degree ``n - 1`` it
+        needs, and kept.
+
+        The extreme blocks ``k = 0, n`` are identities.  Otherwise degree
+        ``n`` is reached by peeling the last tensor factor: with ``w ⊗ v`` in
+        ``V^{⊗(n-1)} ⊗ V``, the two coproduct summands of ``v`` contribute
+        ``Δ_{k,n-1} ⊗ 1_V`` and ``(1_{k-1} ⊗ c^{n-k,1})(Δ_{k-1,n-1} ⊗ 1_V)``,
+        the exchange operator carrying ``v`` through the right leg.
+        """
         self._degree_gate(n)
         if not (0 <= k <= n):
             raise BadDegree(f"block ({k},{n}) outside 0<=k<=n")
-        blocks = self.coproduct_blocks
-        if (k, n) not in blocks:
-            for m in range(1, n + 1):
-                if (m, m) not in blocks:
-                    self._build_coproduct_degree(m)
-        return blocks[(k, n)]
-
-    def _build_coproduct_degree(self, n: int) -> None:
-        """Store ``Δ_{k,n-k}`` for ``k = 0..n`` from the blocks of degree ``n - 1``.
-
-        Degree ``n`` is reached by peeling the last tensor factor: with
-        ``w ⊗ v`` in ``V^{⊗(n-1)} ⊗ V``, the two coproduct summands of ``v``
-        contribute ``Δ_{k,n-1} ⊗ V`` and ``(V^{⊗(k-1)} ⊗ c^{n-k,1})(Δ_{k-1,n-1} ⊗ V)``,
-        the exchange operator carrying ``v`` through the right leg.
-        """
-        blocks, d = self.coproduct_blocks, self.V.dim
-        below = None  # Δ_{k-1,n-1} ⊗ V, the first summand of split k - 1
-        for k in range(n + 1):
-            here = whisker(1, blocks[(k, n - 1)], d) if k < n else None
-            if below is None:
-                total = here
+        block = self.coproduct_blocks.get((k, n))
+        if block is None:
+            if k in (0, n):
+                block = ExactMatrix.identity(self.field, self.component_dim(n))
             else:
-                moved = whisker(d ** (k - 1), self.braid.block(n - k, 1), 1, below)
-                total = moved if here is None else here + moved
-            blocks[(k, n)] = total
-            below = here
+                d = self.V.dim
+                moved = whisker(d ** (k - 1), self.braid.block(n - k, 1), 1,
+                                whisker(1, self.coproduct_block(k - 1, n - 1), d))
+                block = whisker(1, self.coproduct_block(k, n - 1), d) + moved
+            self.coproduct_blocks[(k, n)] = block
+        return block
 
     def counit_block(self, n: int) -> ExactMatrix:
         """The counit kills every positive degree and fixes degree 0."""

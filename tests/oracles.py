@@ -205,6 +205,18 @@ def witt_dimension(alphabet, n):
     return total // n
 
 
+def restricted_witt_dimension(alphabet, n, p):
+    """Dimension of the degree-n component of the free restricted Lie algebra
+    on ``alphabet`` letters in characteristic ``p``: the free Lie algebra
+    in degree n plus the p^k-th powers of its basis in degree n / p^k, that is
+    ``W(n) + W(n/p) + W(n/p²) + …`` over the powers of ``p`` dividing n."""
+    total = witt_dimension(alphabet, n)
+    while n % p == 0:
+        n //= p
+        total += witt_dimension(alphabet, n)
+    return total
+
+
 def reduced(fr):
     """gcd probe: a Fraction (or int) is in lowest terms with positive denominator."""
     if isinstance(fr, int):

@@ -47,7 +47,7 @@ from braidalg.gallery import (
 from braidalg.serialize import bialgebra_to_json, braiding_to_json
 from braidalg.transport import direct_power_braiding
 
-from oracles import gaussian_binomial, witt_dimension
+from oracles import gaussian_binomial, restricted_witt_dimension, witt_dimension
 
 F5 = prime_field(5)
 
@@ -265,3 +265,24 @@ def test_criterion_13_primitive_frontier_image():
         for d, N in ((2, 11), (3, 8)):
             T = build_truncated(flip_braiding(RATIONALS, d), N)
             assert tensor_primitive_dims(T) == [witt_dimension(d, n) for n in range(1, N + 1)]
+
+
+def test_criterion_14_restricted_primitive_frontier():
+    # the graded primitives of T(V) for the flip over F_p are the free
+    # restricted Lie algebra: degrees divisible by p add the p-th powers
+    with budget("14 restricted primitive frontier", 30.0):
+        for p in (2, 5):
+            T = build_truncated(flip_braiding(prime_field(p), 2), 10)
+            assert tensor_primitive_dims(T) == [restricted_witt_dimension(2, n, p)
+                                                for n in range(1, 11)]
+
+
+def test_criterion_15_zero_primitives_over_q(tmp_path, capsys):
+    # a non-symmetric grid over Q has P_n = 0 for n >= 2; elimination over Q
+    # alone takes minutes at degree 10, and the zero-kernel certificate mod a
+    # prime decides every degree from 2 on
+    with budget("15 zero primitives over Q", 30.0):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(braiding_to_json(diagonal_twist_braiding(RATIONALS, [[2, 3], [5, 7]]))))
+        assert cli_main(["primitives", "--input", str(path), "--degree", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"] == [2] + [0] * 9

@@ -3,11 +3,14 @@
 For a symmetry (``c·c = 1``) and a degree ``n`` nonzero in the field,
 ``primitives_of_tensor`` finds ``P_n`` as the column space of the
 Dynkin–Specht–Wever operator ``θ_n``, spanned by the braided commutators
-``[P_{n-1}, V]``, and reads no coproduct block.  Every other degree takes
-the kernel route.  The bases must equal ``tests/oracles.full_stack_primitives``
-in every cell and in the Python type of every cell, and each of the two
-gates must be needed: dropping one gives another space exactly where the
-theory says it should.
+``[P_{n-1}, V]``, and reads no coproduct block.  For the flip over F_p at
+``p | n`` the same spanning set, with the ``p``-th powers of the basis of
+``P_{n/p}`` added, spans the free restricted Lie algebra.  Every other
+degree takes the kernel route.  The bases must equal
+``tests/oracles.full_stack_primitives`` in every cell and in the Python type
+of every cell, and each gate and each part of the spanning set must be
+needed: dropping one gives another space exactly where the theory says it
+should.
 """
 
 import random
@@ -77,10 +80,11 @@ def test_image_route_matches_full_stack(name):
     assert T.symmetric
     for n in range(1, N + 1):
         assert_same(primitives_of_tensor(T, n), full_stack_primitives(oracle, n))
-    # only the degrees divisible by the characteristic built coproduct blocks
+    # only the degrees divisible by the characteristic built coproduct
+    # blocks, and for the flip none did
     p = V.field.p
-    assert top_coproduct_degree(T) == max((n for n in range(1, N + 1) if p and n % p == 0),
-                                          default=0)
+    assert top_coproduct_degree(T) == max((n for n in range(1, N + 1) if p and n % p == 0
+                                           and not T.flip), default=0)
 
 
 @pytest.mark.parametrize("name", sorted(SYMMETRIES))
@@ -104,15 +108,16 @@ def test_symmetric_is_c_squared_equal_to_one(V, symmetric):
     assert build_truncated(V, 2).symmetric is symmetric
 
 
-def test_without_the_degree_gate_the_flip_over_f5_fails_at_degree_5(monkeypatch):
-    # at p | n the Dynkin operator is not onto P_n: over F_5 the image in
-    # degree 5 is the free Lie algebra's, and P_5 also holds the p-th powers
+def test_without_the_degree_gate_super_over_f5_fails_at_degree_5(monkeypatch):
+    # at p | n the spanning set is right for the flip only: for super (0,1)
+    # over F_5 it holds the p-th power of the odd letter, which is not
+    # primitive, so the image in degree 5 is too large
     monkeypatch.setattr(primitives_module, "_image_route", lambda T, n: T.symmetric)
-    V = flip_braiding(F5, 2)
+    V = super_braiding(F5, (0, 1))
     T, oracle = build_truncated(V, 5), build_truncated(V, 5)
     for n in range(1, 5):
         assert_same(primitives_of_tensor(T, n), full_stack_primitives(oracle, n))
-    assert (primitives_of_tensor(T, 5).cols, full_stack_primitives(oracle, 5).cols) == (6, 8)
+    assert (primitives_of_tensor(T, 5).cols, full_stack_primitives(oracle, 5).cols) == (8, 7)
 
 
 def test_without_the_symmetry_gate_q2_fails_from_degree_2(monkeypatch):
@@ -124,3 +129,46 @@ def test_without_the_symmetry_gate_q2_fails_from_degree_2(monkeypatch):
     assert_same(primitives_of_tensor(T, 1), full_stack_primitives(oracle, 1))
     for n in range(2, 6):
         assert (primitives_of_tensor(T, n).cols, full_stack_primitives(oracle, n).cols) == (1, 0)
+
+
+# the flip over F_p, (dimension, truncation degree): every degree divisible
+# by p takes the restricted image route
+RESTRICTED = {
+    f"flip_d{d}_F{p}": (p, d, N)
+    for p, degrees in {2: {1: 10, 2: 10, 3: 6}, 3: {1: 10, 2: 8, 3: 6},
+                       5: {1: 10, 2: 10, 3: 5}, 7: {1: 10, 2: 7, 3: 5}}.items()
+    for d, N in degrees.items()
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESTRICTED))
+def test_restricted_route_matches_full_stack(name):
+    p, d, N = RESTRICTED[name]
+    V = flip_braiding(prime_field(p), d)
+    T, oracle = build_truncated(V, N), build_truncated(V, N)
+    assert T.flip
+    for n in range(1, N + 1):
+        assert_same(primitives_of_tensor(T, n), full_stack_primitives(oracle, n))
+    assert list(T.coproduct_blocks) == [(0, 0)]
+
+
+@pytest.mark.parametrize("V, flip", [
+    (flip_braiding(F5, 3), True),
+    (scalar_braiding(F7, 1), True),
+    (super_braiding(prime_field(2), (0, 1)), True),  # -1 = 1 in F_2
+    (super_braiding(F5, (0, 1)), False),
+    (scalar_braiding(F7, 2), False),
+    (diagonal_twist_braiding(F5, [[1, 2], [3, 1]]), False),  # symmetric, not the flip
+])
+def test_flip_is_the_flip_matrix(V, flip):
+    assert build_truncated(V, 2).flip is flip
+
+
+def test_without_the_pth_powers_the_flip_over_f2_fails_at_degree_2(monkeypatch):
+    # over F_2 the commutators of V span only xy + yx in degree 2, and the
+    # squares x⊗x and y⊗y are primitive too
+    monkeypatch.setattr(primitives_module, "_pth_powers", lambda T, n: [])
+    V = flip_braiding(prime_field(2), 2)
+    T, oracle = build_truncated(V, 2), build_truncated(V, 2)
+    assert_same(primitives_of_tensor(T, 1), full_stack_primitives(oracle, 1))
+    assert (primitives_of_tensor(T, 2).cols, full_stack_primitives(oracle, 2).cols) == (1, 3)

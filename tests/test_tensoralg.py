@@ -176,8 +176,8 @@ def cells(m):
 
 
 class TestOnDemandBuild:
-    """Coproduct blocks are built when first read, all missing degrees up
-    to the one asked for, in order."""
+    """Coproduct blocks are built when first read, each from the two blocks
+    of one degree less that it needs."""
 
     def test_build_holds_degree_zero_only(self):
         T = build_truncated(flip_braiding(RATIONALS, 2), 5)
@@ -188,7 +188,9 @@ class TestOnDemandBuild:
         V = dict(braiding_gallery())[name]
         T = build_truncated(V, 5)
         T.coproduct_block(2, 5)
-        assert set(T.coproduct_blocks) == {(k, n) for n in range(6) for k in range(n + 1)}
+        # the dependency triangle of (2, 5): Δ_{k,n} needs Δ_{k,n-1} and Δ_{k-1,n-1}
+        assert set(T.coproduct_blocks) == {(k, n) for n in range(6) for k in range(n + 1)
+                                           if k <= 2 and n - k <= 3}
         eager = eager_coproduct_blocks(V, 5)
         for n in (3, 0, 5, 1, 4, 2):
             for k in range(n + 1):
@@ -207,8 +209,9 @@ class TestOnDemandBuild:
         assert list(T.coproduct_blocks) == [(0, 0)]
 
     def test_kernel_degrees_build_only_up_to_themselves(self):
-        # over F_5 degree 5 takes the kernel route, degrees 6 and 7 the image route
-        T = build_truncated(flip_braiding(F5, 2), 7)
+        # for super (0,1) over F_5 degree 5 takes the kernel route, degrees 6
+        # and 7 the image route
+        T = build_truncated(super_braiding(F5, (0, 1)), 7)
         tensor_primitive_dims(T)
         assert max(n for _, n in T.coproduct_blocks) == 5
 
@@ -228,7 +231,7 @@ class TestAxiomSuite:
 
     def test_injected_fault_is_detected(self):
         T = build_truncated(flip_braiding(RATIONALS, 2), 3)
-        T.coproduct_block(3, 3)  # blocks are built on demand: build every degree first
+        list(T.named_blocks())  # blocks are built on demand: build every block first
         blocks = dict(T.coproduct_blocks)
         grid = [list(r) for r in blocks[(1, 2)].data]
         grid[0][0] = RATIONALS.element(1)  # corrupt a single block entry
