@@ -28,6 +28,7 @@ from .braidrep import BraidRepCache
 from .errors import BraidAlgError, ShapeError, SpecViolation
 from .fields import RATIONALS, FieldSpec, prime_field
 from .gallery import parity_grid
+from .matrix import ExactMatrix
 from .primitives import primitives, primitives_of_tensor
 from .serialize import (
     SchemaError,
@@ -92,10 +93,7 @@ def _load_json(path: str, flag: str = "--input") -> dict:
 
 def _checked(report: dict, rep: AxiomReport) -> tuple[dict, bool]:
     """``report`` with ``rep`` as its ``checks`` rows and ``passed`` flag."""
-    report["checks"] = [
-        {"name": item.name, "passed": item.passed, **({"detail": item.detail} if item.detail else {})}
-        for item in rep.items
-    ]
+    report["checks"] = rep.items
     report["passed"] = rep.passed
     return report, rep.passed
 
@@ -103,15 +101,31 @@ def _checked(report: dict, rep: AxiomReport) -> tuple[dict, bool]:
 _quote = json.encoder.encode_basestring_ascii  # the C escaper behind json.dumps
 
 
-def _encode(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for the
-    values a report holds: ``dict`` with ``str`` keys, ``list``, ``str``,
-    ``int``, ``bool`` and ``None``, no subclasses.  Anything else raises
-    ``TypeError``.  With ``indent`` set, ``json.dumps`` falls back to its
-    pure-Python encoder; this one escapes in C and writes a matrix row, a
-    list of strings, with one join."""
+def _encode(value) -> list[str]:
+    """The pieces of ``json.dumps(value, indent=2, sort_keys=True)``, byte for
+    byte once joined, for the values a report holds: ``dict`` with ``str``
+    keys, ``list``, ``str``, ``int``, ``bool`` and ``None``, no subclasses,
+    and two library values.  An ``ExactMatrix`` is written as its
+    ``matrix_to_json`` rows and a ``CheckItem`` as its ``detail`` (when
+    set), ``name`` and ``passed``.  Anything else raises ``TypeError``.
+
+    With ``indent`` set, ``json.dumps`` falls back to its pure-Python
+    encoder; this one escapes in C.  A matrix takes one join per row and one
+    for the whole: its cells are ``FieldSpec.format`` strings of digits,
+    ``-`` and ``/``, which need no escape.  A list of strings is written the
+    same way, each string escaped."""
     parts = []
     put = parts.append
+
+    def matrix(rows, indent):
+        if not rows:
+            put("[]")
+            return
+        inner = indent + "  "
+        cell = inner + "  "
+        head, sep, tail = "[" + cell + '"', '",' + cell + '"', '"' + inner + "]"
+        put("[" + inner + ("," + inner).join([head + sep.join(r) + tail if r else "[]" for r in rows])
+            + indent + "]")
 
     def walk(x, indent):
         t = type(x)
@@ -123,13 +137,18 @@ def _encode(value) -> str:
             put("true" if x else "false")
         elif x is None:
             put("null")
+        elif t is ExactMatrix:
+            matrix(matrix_to_json(x), indent)
+        elif t is CheckItem:
+            walk({"name": x.name, "passed": x.passed, **({"detail": x.detail} if x.detail else {})},
+                 indent)
         elif t is list:
             if not x:
                 put("[]")
                 return
             inner = indent + "  "
             sep = "," + inner
-            if set(map(type, x)) == {str}:  # a matrix row
+            if set(map(type, x)) == {str}:  # a row of strings
                 put("[" + inner + sep.join(map(_quote, x)) + indent + "]")
                 return
             put("[")
@@ -155,18 +174,22 @@ def _encode(value) -> str:
             raise TypeError(f"cannot encode {t.__name__} in a report")
 
     walk(value, "\n")
-    return "".join(parts)
+    return parts
 
 
 def _emit(payload, out_path: str | None) -> None:
-    text = _encode(payload) + "\n"
+    """Encode the whole payload, then write it to ``out_path``, when given,
+    and then to stdout: a payload that cannot be encoded writes nothing, and
+    an unwritable ``out_path`` raises before stdout sees a byte."""
+    pieces = _encode(payload)
+    pieces.append("\n")
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise SchemaError(f"'--out': cannot write {out_path}: {exc}") from exc
-    sys.stdout.write(text)
+    sys.stdout.writelines(pieces)
 
 
 def _base_report(args) -> dict:
@@ -202,8 +225,11 @@ def cmd_verify(args) -> tuple[dict, bool]:
 def _verify_build_dump(obj: dict) -> AxiomReport:
     """Re-parse a build dump, gate its braiding on Yang-Baxter as ``build``
     does, rebuild from it, compare every block bit-exactly, then re-run the
-    blockwise axiom suite.  A braiding that fails the gate is reported by the
-    gate's items alone: at degree 2 the suite has no hexagon to catch it."""
+    blockwise axiom suite.  A stored block whose text is the rebuilt block's
+    ``matrix_to_json`` passes unparsed; any other text is parsed and compared
+    cell by cell, so an equal block spelled otherwise passes too.  A braiding
+    that fails the gate is reported by the gate's items alone: at degree 2
+    the suite has no hexagon to catch it."""
     V = braiding_from_json(obj)
     degree = obj.get("degree")
     if isinstance(degree, bool) or not isinstance(degree, int) or degree < 1:
@@ -220,6 +246,9 @@ def _verify_build_dump(obj: dict) -> AxiomReport:
     for key, block in T.named_blocks():
         if key not in blocks:
             raise SchemaError(f"missing key 'blocks.{key}'")
+        if blocks[key] == matrix_to_json(block):  # the canonical text: nothing to parse
+            rep.add(CheckItem(f"roundtrip[{key}]", True))
+            continue
         stored = matrix_from_json(V.field, blocks[key], key, rows=block.rows, cols=block.cols)
         rep.add(compare(f"roundtrip[{key}]", stored, block))
     rep.extend(check_truncated_axioms(T))
@@ -236,8 +265,7 @@ def cmd_build(args) -> tuple[dict, bool]:
     T = build_truncated(V, args.degree)
     dump = _base_report(args)
     del dump["command"]  # a dump is an input file for ``verify``, not a report
-    dump.update(braiding_to_json(V), degree=args.degree,
-                blocks={key: matrix_to_json(block) for key, block in T.named_blocks()})
+    dump.update(braiding_to_json(V), degree=args.degree, blocks=dict(T.named_blocks()))
     return dump, True
 
 
@@ -250,8 +278,8 @@ def cmd_primitives(args) -> tuple[dict, bool]:
         space = primitives(B)
         report["subject"] = "bialgebra"
         report["dim"] = space.dim
-        report["inclusion"] = matrix_to_json(space.inclusion)
-        report["braiding"] = matrix_to_json(space.braiding)
+        report["inclusion"] = space.inclusion
+        report["braiding"] = space.braiding
     elif kind == "braiding":
         _require_degree(args.degree)
         V = braiding_from_json(obj)
@@ -263,7 +291,7 @@ def cmd_primitives(args) -> tuple[dict, bool]:
         bases = [primitives_of_tensor(T, n) for n in range(1, args.degree + 1)]
         report["subject"] = "graded"
         report["dims"] = [basis.cols for basis in bases]
-        report["bases"] = {str(n): matrix_to_json(basis) for n, basis in enumerate(bases, 1)}
+        report["bases"] = {str(n): basis for n, basis in enumerate(bases, 1)}
     else:
         raise SchemaError("primitives expects a braiding or bialgebra input")
     return {**report, "passed": True}, True
@@ -278,7 +306,7 @@ def cmd_braidrep(args) -> tuple[dict | list, bool]:
     gate = check_yang_baxter(V)
     if not gate.passed:
         raise SpecViolation(f"input braiding fails {gate.failures()[0].name}")
-    matrix = matrix_to_json(BraidRepCache(V).block(args.m, args.n))
+    matrix = BraidRepCache(V).block(args.m, args.n)
     if not args.out:
         return matrix, True
     return {**_base_report(args), "matrix": matrix, "passed": True}, True
@@ -297,7 +325,7 @@ def cmd_transport(args) -> tuple[dict, bool]:
             raise SchemaError("'g' field must match the bialgebra's field")
         g = matrix_from_json(field, gobj.get("g"), "g", rows=B.dim, cols=B.dim)
         F = basis_change(g)
-        fdesc = {"kind": "basis_change", "g": matrix_to_json(g)}
+        fdesc = {"kind": "basis_change", "g": g}
     else:
         try:
             scale = B.field.parse(args.twist)

@@ -43,6 +43,8 @@ class TruncatedTensorBialgebra:
     coproduct_blocks: dict[tuple[int, int], ExactMatrix]
     # degree -> (primitive basis, its leading rows), filled by ``primitives_of_tensor``
     _primitive_memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    # (k, n) -> Δ_{k,n} ⊗ 1_V, kept by ``_padded`` for the second block that reads it
+    _pads: dict = dc_field(default_factory=dict, compare=False, repr=False)
 
     @property
     def field(self):
@@ -85,12 +87,23 @@ class TruncatedTensorBialgebra:
             if k in (0, n):
                 block = ExactMatrix.identity(self.field, self.component_dim(n))
             else:
-                d = self.V.dim
-                moved = whisker(d ** (k - 1), self.braid.block(n - k, 1), 1,
-                                whisker(1, self.coproduct_block(k - 1, n - 1), d))
-                block = whisker(1, self.coproduct_block(k, n - 1), d) + moved
+                moved = whisker(self.V.dim ** (k - 1), self.braid.block(n - k, 1), 1,
+                                self._padded(k - 1, n - 1))
+                block = self._padded(k, n - 1) + moved
             self.coproduct_blocks[(k, n)] = block
         return block
+
+    def _padded(self, k: int, n: int) -> ExactMatrix:
+        """``Δ_{k,n} ⊗ 1_V``, which blocks ``(k, n+1)`` and ``(k+1, n+1)``
+        both read.  When both are inner blocks (``0 < k < n``), the first to
+        ask keeps the pad for the second, which takes it; extreme blocks are
+        identities and read no pad."""
+        pad = self._pads.pop((k, n), None)
+        if pad is None:
+            pad = whisker(1, self.coproduct_block(k, n), self.V.dim)
+            if 0 < k < n:
+                self._pads[(k, n)] = pad
+        return pad
 
     def counit_block(self, n: int) -> ExactMatrix:
         """The counit kills every positive degree and fixes degree 0."""

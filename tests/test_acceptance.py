@@ -7,7 +7,8 @@ carries a wall-clock budget and prints one pass/fail line.
 import json
 import random
 import time
-from contextlib import contextmanager
+import tracemalloc
+from contextlib import contextmanager, redirect_stdout
 
 from braidalg import (
     RATIONALS,
@@ -47,7 +48,7 @@ from braidalg.gallery import (
 from braidalg.serialize import bialgebra_to_json, braiding_to_json
 from braidalg.transport import direct_power_braiding
 
-from oracles import gaussian_binomial, restricted_witt_dimension, witt_dimension
+from oracles import gaussian_binomial, restricted_witt_dimension, unshuffle_block, witt_dimension
 
 F5 = prime_field(5)
 
@@ -286,3 +287,25 @@ def test_criterion_15_zero_primitives_over_q(tmp_path, capsys):
         path.write_text(json.dumps(braiding_to_json(diagonal_twist_braiding(RATIONALS, [[2, 3], [5, 7]]))))
         assert cli_main(["primitives", "--input", str(path), "--degree", "10"]) == 0
         assert json.loads(capsys.readouterr().out)["dims"] == [2] + [0] * 9
+
+
+def test_criterion_16_build_dump_frontier(tmp_path):
+    # the dump of T(V) for the d=2 flip at degree 8 is about 20 MB; it is
+    # encoded once, as pieces of at most one block, and written from them
+    # to --out and to stdout
+    with budget("16 build dump frontier", 30.0):
+        source, out, stdout = tmp_path / "flip.json", tmp_path / "dump.json", tmp_path / "stdout.json"
+        source.write_text(json.dumps(braiding_to_json(flip_braiding(RATIONALS, 2))))
+        with open(stdout, "w", encoding="utf-8") as fh, redirect_stdout(fh):
+            tracemalloc.start()
+            try:
+                assert cli_main(["build", "--input", str(source), "--degree", "8", "--out", str(out)]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        text = out.read_text()
+        assert stdout.read_text() == text
+        assert peak <= 1.5 * len(text), (peak, len(text))
+        blocks = json.loads(text)["blocks"]
+        for k in range(9):
+            assert blocks[f"delta/{k}_8"] == [[str(x) for x in row] for row in unshuffle_block(2, k, 8)], k

@@ -1,13 +1,15 @@
 import json
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidalg import RATIONALS, ExactMatrix, prime_field
-from braidalg.cli import _encode, main
+from braidalg.braided import CheckItem
+from braidalg.cli import _encode, _quote, main
 from braidalg.gallery import corrupted_flip, exterior_line, flip_braiding, scalar_braiding
 from braidalg.serialize import bialgebra_to_json, braiding_to_json, matrix_to_json
 from braidalg.tensoralg import build_truncated
@@ -191,6 +193,76 @@ class TestBuildRoundTrip:
         assert report["passed"] is False
         assert report["subject"] == "build"
         assert [c["name"] for c in report["checks"] if not c["passed"]] == ["yang_baxter"]
+
+
+def _dump_and_report(capsys, files, V, degree=2):
+    """A build dump of ``V`` written to ``dump.json``, its parsed form, and
+    the report that ``verify`` gives it."""
+    source, path = files["dir"] / "braiding.json", files["dir"] / "dump.json"
+    source.write_text(json.dumps(braiding_to_json(V)))
+    assert main(["build", "--input", str(source), "--degree", str(degree), "--out", str(path)]) == 0
+    capsys.readouterr()
+    code, report = run(capsys, "verify", "--input", str(path))
+    assert code == 0
+    return path, json.loads(path.read_text()), report
+
+
+class TestRoundTripText:
+    """``verify`` passes a stored block whose text is canonical without parsing
+    it; any other text is parsed and compared as a matrix."""
+
+    @pytest.mark.parametrize("field, q, key, canonical, spelled", [
+        (RATIONALS, Fraction(1, 2), "cT/1_1", "1/2", "2/4"),
+        (RATIONALS, 2, "cT/1_1", "2", "02"),
+        (RATIONALS, -2, "cT/1_1", "-2", "-4/2"),
+        (F5, 2, "cT/1_1", "2", "7"),
+        (F5, 2, "delta/0_1", "1", "6"),
+    ], ids=["reduced-fraction", "leading-zero", "integral-fraction", "p+2", "p+1"])
+    def test_equal_block_spelled_otherwise_passes(self, files, capsys, field, q, key,
+                                                  canonical, spelled):
+        path, dump, canonical_report = _dump_and_report(capsys, files, scalar_braiding(field, q))
+        assert dump["blocks"][key][0][0] == canonical
+        dump["blocks"][key][0][0] = spelled
+        path.write_text(json.dumps(dump))
+        code, out = run(capsys, "verify", "--input", str(path))
+        assert code == 0
+        assert out == canonical_report
+        assert {"name": f"roundtrip[{key}]", "passed": True} in json.loads(out)["checks"]
+
+    def test_changed_cell_fails_only_its_block(self, files, capsys):
+        path, dump, _ = _dump_and_report(capsys, files, flip_braiding(RATIONALS, 2), degree=3)
+        dump["blocks"]["delta/1_3"][2][1] = "1"
+        path.write_text(json.dumps(dump))
+        code, out = run(capsys, "verify", "--input", str(path))
+        assert code == 1
+        failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed == [{"name": "roundtrip[delta/1_3]", "passed": False,
+                           "detail": "first difference at (2,1): 1 != 0"}]
+
+    @pytest.mark.parametrize("key, cell, message", [
+        ("delta/1_2", "x", "'delta/1_2': Invalid literal for Fraction: 'x'"),
+        ("cT/1_1", "1.5", "'cT/1_1': Invalid literal for Fraction: '1.5'"),
+        ("eps/1", None, "'eps/1': cannot coerce None into the rationals"),
+        ("delta/1_2", "1/0", "'delta/1_2': Fraction(1, 0)"),
+    ], ids=["letter", "decimal", "null", "zero-denominator"])
+    def test_unparsable_cell_is_a_schema_error(self, files, capsys, key, cell, message):
+        path, dump, _ = _dump_and_report(capsys, files, flip_braiding(RATIONALS, 2))
+        dump["blocks"][key][0][0] = cell
+        path.write_text(json.dumps(dump))
+        assert main(["verify", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"schema error: {message}\n")
+
+    def test_encode_failure_writes_nothing(self, files, capsys):
+        # c^{2,1} holds q^2, beyond Python's 4300-digit limit for str; the
+        # dump is encoded whole before the first byte is written
+        path, out = files["dir"] / "long.json", files["dir"] / "long_dump.json"
+        path.write_text(json.dumps({"field": {"kind": "rationals"}, "dim": 1, "c": [[str(10 ** 3000 + 1)]]}))
+        assert main(["build", "--input", str(path), "--degree", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot print a scalar of 6001 digits: the limit is 4300\n"
+        assert not out.exists()
 
 
 class TestRepeatedCalls:
@@ -438,7 +510,7 @@ class TestEncode:
     @example([["1/2", "0", "-3"], ["0", "0", "1"]])
     @settings(max_examples=400, deadline=None, derandomize=True)
     def test_matches_json_dumps(self, value):
-        assert _encode(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert "".join(_encode(value)) == json.dumps(value, indent=2, sort_keys=True)
 
     @pytest.mark.parametrize("value", [
         1.5, {"a": [0.0]}, (1, 2), ["a", ("b",)], {1: "a"}, {"a": {None: 1}},
@@ -449,3 +521,73 @@ class TestEncode:
     def test_refuses_other_types(self, value):
         with pytest.raises(TypeError):
             _encode(value)
+
+
+FIELDS = [RATIONALS, prime_field(2), F5, prime_field(2 ** 61 - 1)]
+
+
+def cells_of(field):
+    if field == RATIONALS:
+        return st.integers(-(2 ** 70), 2 ** 70) | st.fractions(max_denominator=10 ** 6)
+    return st.integers(0, field.p - 1)
+
+
+@st.composite
+def matrices(draw):
+    """An ``ExactMatrix`` of at most 4 x 4, empty shapes included."""
+    field = draw(st.sampled_from(FIELDS))
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    grid = draw(st.lists(st.lists(cells_of(field) | st.just(0), min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    return ExactMatrix(field, grid, rows=rows, cols=cols)
+
+
+CHECK_ITEMS = st.builds(CheckItem, st.text(max_size=6), st.booleans(), st.text(max_size=6))
+
+# Reports as commands build them: library values beside plain JSON values.
+LIBRARY_VALUES = st.recursive(
+    REPORT_SCALARS | matrices() | CHECK_ITEMS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def plain(value):
+    """``value`` with each library value replaced by the JSON it stands for."""
+    if isinstance(value, ExactMatrix):
+        return matrix_to_json(value)
+    if isinstance(value, CheckItem):
+        return {"name": value.name, "passed": value.passed,
+                **({"detail": value.detail} if value.detail else {})}
+    if isinstance(value, list):
+        return [plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
+
+
+class TestEncodeLibraryValues:
+    @given(LIBRARY_VALUES)
+    @example(ExactMatrix.zeros(RATIONALS, 0, 0))
+    @example({"m": ExactMatrix.zeros(RATIONALS, 0, 3), "n": [ExactMatrix.zeros(F5, 3, 0)]})
+    @example([ExactMatrix(RATIONALS, [[Fraction(-3, 2), 0, -7], [0, 10 ** 30, Fraction(5, 4)]])])
+    @example({"1": ExactMatrix(F5, [[4, 0], [0, 1]]), "2": ExactMatrix.zeros(F5, 4, 0)})
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_matches_json_dumps_of_the_plain_payload(self, value):
+        assert "".join(_encode(value)) == json.dumps(plain(value), indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("item", [
+        CheckItem("yang_baxter", True),
+        CheckItem("roundtrip[delta/1_2]", False, "first difference at (0,1): 1 != 0"),
+        CheckItem("", False, '"quoted"\n'),
+    ], ids=["no-detail", "detail", "escaped"])
+    def test_check_item_is_its_dict(self, item):
+        assert "".join(_encode([item])) == json.dumps([plain(item)], indent=2, sort_keys=True)
+
+    @given(st.sampled_from(FIELDS).flatmap(lambda f: st.tuples(st.just(f), cells_of(f))))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_scalar_strings_need_no_escape(self, field_and_cell):
+        # the matrix writer quotes cells without escaping them
+        field, cell = field_and_cell
+        text = field.format(field.element(cell))
+        assert _quote(text) == f'"{text}"'

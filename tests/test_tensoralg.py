@@ -18,6 +18,7 @@ from braidalg.gallery import (
     scalar_braiding,
     super_braiding,
 )
+from braidalg import tensoralg
 from braidalg.primitives import tensor_primitive_dims
 
 from oracles import eager_coproduct_blocks, gaussian_binomial, unshuffle_block
@@ -197,6 +198,21 @@ class TestOnDemandBuild:
                 got, want = T.coproduct_block(k, n), eager[(k, n)]
                 assert (got.rows, got.cols) == (want.rows, want.cols)
                 assert cells(got) == cells(want), (name, k, n)
+
+    @pytest.mark.parametrize("name", ["flip_d2_Q", "super_d2_11_Q", "scalar_q2_F5"])
+    def test_each_pad_is_built_once(self, monkeypatch, name):
+        # Δ_{k,n-1} ⊗ 1_V is read by blocks (k, n) and (k+1, n): degree n
+        # pads each of its n sources once and braids n - 1 of the pads
+        calls = []
+        real = tensoralg.whisker
+        monkeypatch.setattr(tensoralg, "whisker", lambda *args: calls.append(args) or real(*args))
+        V = dict(braiding_gallery())[name]
+        T = build_truncated(V, 6)
+        blocks = dict(T.named_blocks())
+        assert len(calls) == sum(2 * n - 1 for n in range(2, 7))
+        assert not T._pads
+        eager = eager_coproduct_blocks(V, 6)
+        assert all(cells(blocks[f"delta/{k}_{n}"]) == cells(eager[(k, n)]) for k, n in eager)
 
     def test_a_low_request_builds_no_higher_degree(self):
         T = build_truncated(super_braiding(RATIONALS, (0, 1)), 5)
