@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .errors import NotInvertible, ShapeError, SpecViolation
 from .fields import FieldSpec
-from .matrix import ExactMatrix, whisker
+from .matrix import ExactMatrix, whisker, whisker_chain
 
 
 # -- reports --------------------------------------------------------------
@@ -65,6 +65,8 @@ def compare(name: str, lhs: ExactMatrix, rhs: ExactMatrix) -> CheckItem:
     """Equality check producing, on failure, the first differing entry."""
     if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
         return CheckItem(name, False, f"shape {lhs.rows}x{lhs.cols} vs {rhs.rows}x{rhs.cols}")
+    if lhs.nonzeros == rhs.nonzeros:
+        return CheckItem(name, True)
     for i, (ra, rb) in enumerate(zip(lhs.nonzeros, rhs.nonzeros)):
         if ra != rb:
             j = min(j for j in ra.keys() | rb.keys() if ra.get(j, 0) != rb.get(j, 0))
@@ -161,8 +163,8 @@ def hexagon(lm: ExactMatrix, ln: ExactMatrix, mn: ExactMatrix,
     """The two sides of the hexagon for exchange blocks ``c^{l,m}, c^{l,n}, c^{m,n}``
     between spaces of dimensions ``dl, dm, dn`` (Yang-Baxter when all are ``c``):
     ``(1_n⊗c^{l,m})(c^{l,n}⊗1_m)(1_l⊗c^{m,n}) = (c^{m,n}⊗1_l)(1_m⊗c^{l,n})(c^{l,m}⊗1_n)``."""
-    lhs = whisker(dn, lm, 1, whisker(1, ln, dm, whisker(dl, mn, 1)))
-    rhs = whisker(1, mn, dl, whisker(dm, ln, 1, whisker(1, lm, dn)))
+    lhs = whisker_chain((dn, lm, 1), (1, ln, dm), (dl, mn, 1))
+    rhs = whisker_chain((1, mn, dl), (dm, ln, 1), (1, lm, dn))
     return lhs, rhs
 
 

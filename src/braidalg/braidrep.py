@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from .braided import BraidedObject, hexagon
 from .errors import BadDegree
-from .matrix import ExactMatrix, whisker
+from .matrix import ExactMatrix, whisker, whisker_chain
 
 
 class BraidRepCache:
@@ -45,9 +45,9 @@ class BraidRepCache:
         elif m == 1 and n == 1:
             out = self.source.c
         elif m == 1:
-            out = whisker(d ** (n - 1), self.source.c, 1, whisker(1, self.block(1, n - 1), d))
+            out = whisker_chain((d ** (n - 1), self.source.c, 1), (1, self.block(1, n - 1), d))
         else:
-            out = whisker(1, self.block(1, n), d ** (m - 1), whisker(d, self.block(m - 1, n), 1))
+            out = whisker_chain((1, self.block(1, n), d ** (m - 1)), (d, self.block(m - 1, n), 1))
         self.table[key] = out
         return out
 

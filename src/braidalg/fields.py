@@ -191,5 +191,5 @@ def prime_field(p: int) -> FieldSpec:
 
 
 def require_same_field(a: FieldSpec, b: FieldSpec) -> None:
-    if a != b:
+    if a is not b and a != b:
         raise FieldMismatch(f"field mismatch: {a} vs {b}")

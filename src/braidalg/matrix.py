@@ -8,8 +8,9 @@ dense view for inspection and tests; no kernel reads it.
 Every stored cell is canonical for its field (see ``fields``): over Q an
 ``int`` when integral and a ``Fraction`` with denominator > 1 otherwise,
 over F_p an ``int`` in ``[1, p)``.  Kernels keep this by passing each cell
-they compute through a ``FieldSpec`` op; cells they only copy are canonical
-already.  So equal matrices also agree in the Python type of every cell.
+they compute through a ``FieldSpec`` op (the product kernels reduce F_p
+cells with an inline ``% p``); cells they only copy are canonical already.
+So equal matrices also agree in the Python type of every cell.
 
 Conventions, pinned once and used everywhere:
 
@@ -19,9 +20,14 @@ Conventions, pinned once and used everywhere:
 * ``whisker(left, X, right)`` is ``1_left ⊗ X ⊗ 1_right``, the one way to
   pad a map with identity strands; ``whisker(left, X, right, M)`` applies
   that map to ``M`` without building it, and ``X * M`` is the same kernel
-  with ``left = right = 1``, so there is one product loop.  A row of ``X``
-  whose single nonzero is one shares the row of ``M`` it picks out.
-  ``kron`` is kept for tensor products of two maps that are not identities;
+  with ``left = right = 1``, so there is one product loop.  A matrix with
+  one cell per row (an identity, an exchange block of a diagonal braiding)
+  keeps its *column map* once ``column_map`` finds it.  The product loop
+  then picks rows of ``M`` through the padded map of ``X``, sharing a row
+  whose cell is one, or relabels the keys of ``X``'s rows through a map of
+  ``M`` with distinct columns; ``whisker_chain`` composes the maps of a
+  chain of such factors and builds only the product.  ``kron`` is kept for
+  tensor products of two maps that are not identities;
 * row and column counts of zero are legal (the zero object shows up as the
   primitive space of a group algebra, for instance).
 
@@ -35,12 +41,14 @@ from __future__ import annotations
 from .errors import LinearSolveError, NotInvertible, ShapeError
 from .fields import FieldSpec, require_same_field
 
+_set = object.__setattr__  # writes past ExactMatrix.__setattr__, which refuses them
+
 
 class ExactMatrix:
     """Immutable sparse matrix over a ``FieldSpec``.  ``nonzeros`` holds one
     ``{col: value}`` dict per row; rows are shared, so never mutate them."""
 
-    __slots__ = ("field", "rows", "cols", "nonzeros")
+    __slots__ = ("field", "rows", "cols", "nonzeros", "cmap")
 
     def __init__(self, field: FieldSpec, entries, rows: int | None = None, cols: int | None = None):
         rows = len(entries) if rows is None else rows
@@ -69,10 +77,11 @@ class ExactMatrix:
             out.append(row)
         if len(out) != rows:
             raise ShapeError("row count mismatch")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "nonzeros", tuple(out))
+        _set(self, "field", field)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "nonzeros", tuple(out))
+        _set(self, "cmap", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -80,19 +89,21 @@ class ExactMatrix:
     # -- constructors ----------------------------------------------------
 
     @classmethod
-    def _raw(cls, field, nonzeros, rows, cols):
-        """A matrix on rows that already hold only nonzero field elements."""
+    def _raw(cls, field, nonzeros, rows, cols, cmap=None):
+        """A matrix on rows that already hold only nonzero field elements,
+        with its column map when the caller knows it."""
         m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "nonzeros", tuple(nonzeros))
+        _set(m, "field", field)
+        _set(m, "rows", rows)
+        _set(m, "cols", cols)
+        _set(m, "nonzeros", tuple(nonzeros))
+        _set(m, "cmap", cmap)
         return m
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "ExactMatrix":
         one = field.one
-        return cls._raw(field, ({i: one} for i in range(n)), n, n)
+        return cls._raw(field, ({i: one} for i in range(n)), n, n, (range(n), None, True))
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "ExactMatrix":
@@ -198,15 +209,22 @@ class ExactMatrix:
         return _apply(1, self, 1, other)
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Kronecker product, the tensor product of linear maps."""
+        """Kronecker product, the tensor product of linear maps.  A factor
+        with a kept column map and every cell one (an identity, a flip block)
+        makes each output row a row of the other factor with shifted keys."""
         require_same_field(self.field, other.field)
-        norm = self.field.normalize
+        p, norm = self.field.p, self.field.normalize
         width = other.cols
-        out = (
-            {j * width + l: norm(a * b) for j, a in ra.items() for l, b in rb.items()}
-            for ra in self.nonzeros
-            for rb in other.nonzeros
-        )
+        if other.cmap and other.cmap[1] is None:
+            out = ({j * width + l: a for j, a in ra.items()}
+                   for ra in self.nonzeros for l in other.cmap[0])
+        elif self.cmap and self.cmap[1] is None:
+            out = ({s + l: b for l, b in rb.items()}
+                   for s in [j * width for j in self.cmap[0]] for rb in other.nonzeros)
+        else:
+            out = ({j * width + l: a * b % p if p else norm(a * b)
+                    for j, a in ra.items() for l, b in rb.items()}
+                   for ra in self.nonzeros for rb in other.nonzeros)
         return ExactMatrix._raw(self.field, out, self.rows * other.rows, self.cols * other.cols)
 
     def transpose(self) -> "ExactMatrix":
@@ -388,37 +406,121 @@ def _apply(left: int, X: ExactMatrix, right: int, M: ExactMatrix) -> ExactMatrix
     """``(1_left ⊗ X ⊗ 1_right) · M``, the one product loop.
 
     Output row ``(s, r, t)`` sums the rows ``(s * X.cols + k) * right + t`` of
-    ``M``, weighted by ``X[r, k]``.  A row of ``X`` with a single nonzero picks
-    out ``right`` consecutive rows of ``M``: when that nonzero is one they are
-    shared, not copied, and otherwise each cell is scaled with no zero test,
-    since a product of two nonzeros in a field is nonzero.
+    ``M``, weighted by ``X[r, k]``.  Column maps skip the sum: when ``X``
+    keeps one, each output row is the row of ``M`` it picks, shared when the
+    cell is one; when ``M`` keeps one with distinct columns, each output row
+    is a row of ``X`` with its keys relabelled.  A single-cell row of ``X``
+    without a map still picks its rows of ``M``.  A product of two nonzeros
+    is nonzero, so only sums are tested for zero.
     """
     require_same_field(X.field, M.field)
+    f = X.field
     rows, inner = left * X.rows * right, left * X.cols * right
     if inner != M.rows:
         raise ShapeError(f"cannot compose {rows}x{inner} with {M.rows}x{M.cols}")
-    norm, one = X.field.normalize, X.field.one
+    if X.cmap:
+        return ExactMatrix._raw(f, _pick(f, *_padded_map(left, X, right), M.nonzeros), rows, M.cols)
+    p, norm = f.p, f.normalize
     mrows = M.nonzeros
     out = []
+    if M.cmap and M.cmap[2]:
+        mcols, mvals, _ = M.cmap
+        for s in range(left):
+            for row in X.nonzeros:
+                for o in range(s * X.cols * right, (s * X.cols + 1) * right):
+                    out.append({mcols[o + k * right]: a for k, a in row.items()} if mvals is None else
+                               {mcols[i]: a * mvals[i] % p if p else norm(a * mvals[i])
+                                for i, a in ((o + k * right, a) for k, a in row.items())})
+        return ExactMatrix._raw(f, out, rows, M.cols)
     for s in range(left):
         base = s * X.cols
         for row in X.nonzeros:
-            if len(row) == 1:
+            if len(row) == 1:  # a single cell picks right consecutive rows of M
                 [(k, a)] = row.items()
                 start = (base + k) * right
                 picked = mrows[start:start + right]
-                if a == one:
-                    out.extend(picked)
-                else:
-                    out.extend({j: norm(a * b) for j, b in r.items()} for r in picked)
+                out.extend(picked if a == 1 else _pick(f, range(right), [a] * right, picked))
                 continue
             for t in range(right):
                 acc = {}
                 for k, a in row.items():
                     for j, b in mrows[(base + k) * right + t].items():
                         acc[j] = acc.get(j, 0) + a * b
-                out.append({j: x for j, y in acc.items() if (x := norm(y))})
-    return ExactMatrix._raw(X.field, out, rows, M.cols)
+                out.append({j: x for j, y in acc.items() if (x := y % p if p else norm(y))})
+    return ExactMatrix._raw(f, out, rows, M.cols)
+
+
+def column_map(m: ExactMatrix):
+    """``(cols, vals, distinct)`` when every row of ``m`` holds one cell: row
+    ``r`` holds ``vals[r]`` in column ``cols[r]``, ``vals`` is None when each
+    cell is one, and ``distinct`` says that no column repeats.  None when
+    some row does not hold exactly one cell.  Found on first request and kept
+    on ``m``; the kernels read only kept maps, so they never scan a matrix."""
+    if m.cmap is None:
+        rows, cmap = m.nonzeros, False
+        if all(len(row) == 1 for row in rows):
+            cols = [j for row in rows for j in row]
+            vals = [x for row in rows for x in row.values()]
+            ones = all(x == m.field.one for x in vals)
+            cmap = (cols, None if ones else vals, len(set(cols)) == len(cols))
+        _set(m, "cmap", cmap)
+    return m.cmap or None
+
+
+def _padded_map(left: int, X: ExactMatrix, right: int):
+    """``(cols, vals)`` of ``whisker(left, X, right)``, from the kept map of ``X``."""
+    cols, vals, _ = X.cmap
+    if left == right == 1:
+        return cols, vals
+    starts = [s * X.cols * right for s in range(left)]
+    if right == 1:
+        cols = [s + j for s in starts for j in cols]
+    else:
+        cols = [s + j * right + t for s in starts for j in cols for t in range(right)]
+    return cols, None if vals is None else [x for x in vals for _ in range(right)] * left
+
+
+def _pick(f: FieldSpec, cols, vals, rows) -> list:
+    """``rows[cols[r]]`` scaled by ``vals[r]``, for each ``r``; a row whose
+    factor is one is shared."""
+    if vals is None:
+        return [rows[i] for i in cols]
+    p, norm = f.p, f.normalize
+    return [rows[i] if a == 1 else {j: a * b % p if p else norm(a * b) for j, b in rows[i].items()}
+            for i, a in zip(cols, vals)]
+
+
+def whisker_chain(*factors) -> ExactMatrix:
+    """``W_1 · W_2 ⋯ W_k`` for ``W_i = whisker(*factors[i])``.
+
+    When every middle map has a column map (the exchange blocks of a diagonal
+    braiding), the padded maps compose as index lists and only the product
+    is built, one cell per row, keeping its map.  Otherwise the factors are
+    applied one at a time, from the right.
+    """
+    if not all(X.cmap if X.cmap is not None else column_map(X) for _, X, _ in factors):
+        out = None
+        for left, X, right in reversed(factors):
+            out = whisker(left, X, right, out)
+        return out
+    f = factors[0][1].field
+    cols, vals = _padded_map(*factors[0])
+    width = factors[0][0] * factors[0][1].cols * factors[0][2]
+    for left, X, right in factors[1:]:
+        require_same_field(f, X.field)
+        if left * X.rows * right != width:
+            raise ShapeError(f"cannot compose {len(cols)}x{width} with {left * X.rows * right} rows")
+        pcols, pvals = _padded_map(left, X, right)
+        if pvals is not None:
+            vals = [a * pvals[i] for a, i in zip(vals or [1] * len(cols), cols)]
+        cols, width = [pcols[i] for i in cols], left * X.cols * right
+    if vals is not None:
+        p, norm = f.p, f.normalize
+        vals = [a % p if p else norm(a) for a in vals]
+        vals = None if all(a == 1 for a in vals) else vals
+    rows = [{j: 1} for j in cols] if vals is None else [{j: a} for j, a in zip(cols, vals)]
+    distinct = all(X.cmap[2] for _, X, _ in factors)
+    return ExactMatrix._raw(f, rows, len(cols), width, (cols, vals, distinct))
 
 
 def kron_power(m: ExactMatrix, n: int) -> ExactMatrix:

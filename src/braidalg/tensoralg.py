@@ -29,7 +29,7 @@ from functools import cached_property, reduce
 from .braided import AxiomReport, BraidedObject, compare, coproduct_braids, hexagon, mirror
 from .braidrep import BraidRepCache
 from .errors import BadDegree, BadTruncation, TruncationOverflow
-from .matrix import ExactMatrix, whisker
+from .matrix import ExactMatrix, whisker, whisker_chain
 
 
 @dataclass
@@ -90,6 +90,9 @@ class TruncatedTensorBialgebra:
                 moved = whisker(self.V.dim ** (k - 1), self.braid.block(n - k, 1), 1,
                                 self._padded(k - 1, n - 1))
                 block = self._padded(k, n - 1) + moved
+                # only blocks below degree n read a pad below degree n - 1
+                for key in [key for key in self._pads if key[1] < n - 1]:
+                    del self._pads[key]
             self.coproduct_blocks[(k, n)] = block
         return block
 
@@ -97,7 +100,9 @@ class TruncatedTensorBialgebra:
         """``Δ_{k,n} ⊗ 1_V``, which blocks ``(k, n+1)`` and ``(k+1, n+1)``
         both read.  When both are inner blocks (``0 < k < n``), the first to
         ask keeps the pad for the second, which takes it; extreme blocks are
-        identities and read no pad."""
+        identities and read no pad.  A kept pad is dropped once a block two
+        degrees up is built, since in build order its readers came before;
+        a reader that comes later anyway rebuilds it."""
         pad = self._pads.pop((k, n), None)
         if pad is None:
             pad = whisker(1, self.coproduct_block(k, n), self.V.dim)
@@ -177,14 +182,14 @@ def check_truncated_axioms(T: TruncatedTensorBialgebra) -> AxiomReport:
         for b in range(N + 1 - a):
             for n in range(N + 1 - a - b):
                 lhs = ct(a + b, n)
-                rhs = whisker(1, ct(a, n), d ** b, whisker(d ** a, ct(b, n), 1))
+                rhs = whisker_chain((1, ct(a, n), d ** b), (d ** a, ct(b, n), 1))
                 report.add(compare(f"product_braids_left[{a},{b};{n}]", lhs, rhs))
     # ...and on the right.
     for m in range(N + 1):
         for a in range(N + 1 - m):
             for b in range(N + 1 - m - a):
                 lhs = ct(m, a + b)
-                rhs = whisker(d ** a, ct(m, b), 1, whisker(1, ct(m, a), d ** b))
+                rhs = whisker_chain((d ** a, ct(m, b), 1), (1, ct(m, a), d ** b))
                 report.add(compare(f"product_braids_right[{m};{a},{b}]", lhs, rhs))
 
     # Unit/braiding compatibility: degree-0 blocks are identities.

@@ -337,6 +337,16 @@ def dense_whisker(left, X, right):
     return from_dense(X.field, grid, left * X.rows * right, width)
 
 
+def dense_chain(*factors):
+    """``W_1 · W_2 ⋯ W_k`` for ``W_i = dense_whisker(*factors[i])``, each
+    product the dense ``dense_mul``: the reference for ``whisker_chain`` and,
+    with ``(1, M, 1)`` last, for ``whisker(left, X, right, M)``."""
+    out = dense_whisker(*factors[-1])
+    for left, X, right in reversed(factors[:-1]):
+        out = dense_mul(dense_whisker(left, X, right), out)
+    return out
+
+
 def dense_compare(name, lhs, rhs):
     if (lhs.rows, lhs.cols) != (rhs.rows, rhs.cols):
         return CheckItem(name, False, f"shape {lhs.rows}x{lhs.cols} vs {rhs.rows}x{rhs.cols}")

@@ -4,6 +4,8 @@ Every numeric comparison is exact (zero tolerance); each criterion also
 carries a wall-clock budget and prints one pass/fail line.
 """
 
+import hashlib
+import io
 import json
 import random
 import time
@@ -309,3 +311,22 @@ def test_criterion_16_build_dump_frontier(tmp_path):
         blocks = json.loads(text)["blocks"]
         for k in range(9):
             assert blocks[f"delta/{k}_8"] == [[str(x) for x in row] for row in unshuffle_block(2, k, 8)], k
+
+
+def test_criterion_17_verify_frontier(tmp_path, monkeypatch):
+    # verify rebuilds every block of the degree-8 dump of the d=2 flip and
+    # runs the whole axiom suite on it, 1547 checks with the round trips;
+    # the report's bytes are pinned by the sha256 it had before the
+    # column-map paths
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "flip.json").write_text(json.dumps(braiding_to_json(flip_braiding(RATIONALS, 2))))
+    with budget("17 verify frontier", 30.0):
+        with redirect_stdout(io.StringIO()):
+            assert cli_main(["build", "--input", "flip.json", "--degree", "8", "--out", "dump.json"]) == 0
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli_main(["verify", "--input", "dump.json"]) == 0
+    report = out.getvalue()
+    assert json.loads(report)["passed"] is True
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "5495c345d45f27ee04fda533e68e7779d736fb4f0e29e302d9b8dab0d4a68c02")

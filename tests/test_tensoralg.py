@@ -14,12 +14,13 @@ from braidalg import (
 )
 from braidalg.gallery import (
     braiding_gallery,
+    diagonal_twist_braiding,
     flip_braiding,
     scalar_braiding,
     super_braiding,
 )
 from braidalg import tensoralg
-from braidalg.primitives import tensor_primitive_dims
+from braidalg.primitives import primitives_of_tensor, tensor_primitive_dims
 
 from oracles import eager_coproduct_blocks, gaussian_binomial, unshuffle_block
 
@@ -211,6 +212,24 @@ class TestOnDemandBuild:
         blocks = dict(T.named_blocks())
         assert len(calls) == sum(2 * n - 1 for n in range(2, 7))
         assert not T._pads
+        eager = eager_coproduct_blocks(V, 6)
+        assert all(cells(blocks[f"delta/{k}_{n}"]) == cells(eager[(k, n)]) for k, n in eager)
+
+    def test_pads_no_block_will_read_are_dropped(self):
+        # the kernel route of a twist builds (1, n) but never (2, n), the
+        # second reader of the pad Δ_{1,n-1} ⊗ 1_V
+        T = build_truncated(diagonal_twist_braiding(RATIONALS, [[2, 3], [5, 7]]), 10)
+        bases = [primitives_of_tensor(T, n) for n in range(1, 11)]
+        assert len(T._pads) <= 1
+        assert bases[0] == ExactMatrix.identity(RATIONALS, 2)
+        assert [(b.rows, b.cols) for b in bases[1:]] == [(2 ** n, 0) for n in range(2, 11)]
+
+    def test_a_dropped_pad_is_rebuilt(self):
+        V = diagonal_twist_braiding(RATIONALS, [[2, 3], [5, 7]])
+        T = build_truncated(V, 6)
+        tensor_primitive_dims(T)
+        assert (2, 3) not in T.coproduct_blocks and (1, 2) not in T._pads
+        blocks = dict(T.named_blocks())
         eager = eager_coproduct_blocks(V, 6)
         assert all(cells(blocks[f"delta/{k}_{n}"]) == cells(eager[(k, n)]) for k, n in eager)
 
