@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidalg import RATIONALS, ExactMatrix, prime_field, whisker
+from braidalg import RATIONALS, ExactMatrix, FieldMismatch, ShapeError, prime_field, whisker
 from braidalg.matrix import column_map, whisker_chain
 from braidalg.braidrep import BraidRepCache
 from braidalg.gallery import diagonal_twist_braiding, flip_braiding, super_braiding
@@ -161,6 +161,15 @@ class TestCases:
                             dense_chain((left, Z, right), (left, ident, right)))
             assert_same(Z.kron(ident), dense_kron(Z, ident))
             assert_same(ident.kron(Z), dense_kron(ident, Z))
+
+    def test_chain_errors(self):
+        c = flip_braiding(Q, 2).c
+        general = ExactMatrix(Q, [[1, 1, 0, 0]] * 4)
+        for first in (c, general):  # composed maps, and one factor at a time
+            with pytest.raises(ShapeError, match="cannot compose"):
+                whisker_chain((1, first, 1), (2, c, 1))
+        with pytest.raises(FieldMismatch):
+            whisker_chain((1, c, 1), (1, flip_braiding(prime_field(5), 2).c, 1))
 
     def test_exchange_blocks_keep_their_maps(self):
         # the braiding's map is found when the first block is composed, and
