@@ -40,7 +40,7 @@ print("  (1 x x)(x x 1) column:", [square.algebra.m[i, col] for i in range(4)],
 # is the block c^{2,2} of the braided object.
 dbl = double_braiding(B.algebra, B.c)
 print("\ndoubling: braiding of A x A passes Yang-Baxter:",
-      check_yang_baxter(BraidedObject.from_c(RATIONALS, 4, dbl.c)).passed)
+      check_yang_baxter(BraidedObject(RATIONALS, 4, dbl.c)).passed)
 
 # In dimension 1 the exchange blocks c^{2,1} (against A) and c^{2,2} (of
 # A x A) collapse to scalar powers.

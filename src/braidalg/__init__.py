@@ -37,7 +37,6 @@ from .braided import (
 )
 from .braidrep import (
     BraidRepCache,
-    OracleBraidRepCache,
     check_hexagon,
 )
 from .errors import (

@@ -2,20 +2,16 @@
 
 For a braided object ``(V, c)`` there is a unique family
 ``c^{m,n}: V^m ⊗ V^n -> V^n ⊗ V^m`` compatible with stacking strands on
-either side.  Two independent recursion schedules are provided:
-
-* the production schedule peels one strand off the left block;
-* the oracle schedule peels one strand off the right block.
-
-Their agreement on every input is the uniqueness of the family made
-executable, and it is asserted wholesale in the test suite.
+either side.  The schedule here peels one strand off the left block; the
+test suite's oracle peels one off the right, and their agreement on every
+input is the uniqueness of the family made executable.
 """
 
 from __future__ import annotations
 
 from .braided import BraidedObject, hexagon
 from .errors import BadDegree
-from .matrix import ExactMatrix, whisker, whisker_chain
+from .matrix import ExactMatrix, whisker_chain
 
 
 class BraidRepCache:
@@ -48,33 +44,6 @@ class BraidRepCache:
             out = whisker_chain((d ** (n - 1), self.source.c, 1), (1, self.block(1, n - 1), d))
         else:
             out = whisker_chain((1, self.block(1, n), d ** (m - 1)), (d, self.block(m - 1, n), 1))
-        self.table[key] = out
-        return out
-
-
-class OracleBraidRepCache:
-    """Right-peeling schedule; intentionally a separate recursion and cache."""
-
-    def __init__(self, source: BraidedObject):
-        self.source = source
-        self.table: dict[tuple[int, int], ExactMatrix] = {}
-
-    def block(self, m: int, n: int) -> ExactMatrix:
-        if m < 0 or n < 0:
-            raise BadDegree(f"block indices must be non-negative, got ({m},{n})")
-        key = (m, n)
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit
-        d = self.source.dim
-        if m == 0 or n == 0:
-            out = ExactMatrix.identity(self.source.field, d ** (m + n))
-        elif m == 1 and n == 1:
-            out = self.source.c
-        elif n == 1:
-            out = whisker(1, self.block(m - 1, 1), d, whisker(d ** (m - 1), self.source.c, 1))
-        else:
-            out = whisker(d ** (n - 1), self.block(m, 1), 1, whisker(1, self.block(m, n - 1), d))
         self.table[key] = out
         return out
 

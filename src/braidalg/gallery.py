@@ -41,7 +41,7 @@ def diagonal_twist_braiding(field: FieldSpec, coeffs) -> BraidedObject:
     ``e_i ⊗ e_j`` to ``q_ij q_ji e_i ⊗ e_j``.  The flip, super and scalar
     braidings are such grids.
     """
-    return BraidedObject.from_c(field, len(coeffs), direct_power_braiding(field, coeffs, 1, 1))
+    return BraidedObject(field, len(coeffs), direct_power_braiding(field, coeffs, 1, 1))
 
 
 def corrupted_flip(field: FieldSpec, dim: int = 2) -> BraidedObject:
@@ -54,8 +54,7 @@ def corrupted_flip(field: FieldSpec, dim: int = 2) -> BraidedObject:
     """
     grid = flip_braiding(field, dim).c.to_strings()
     grid[0][1] = "1"
-    c = ExactMatrix(field, grid)
-    return BraidedObject(field, dim, c, c.inverse())
+    return BraidedObject(field, dim, ExactMatrix(field, grid))
 
 
 def exterior_line(field: FieldSpec) -> BialgebraData:

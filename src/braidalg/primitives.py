@@ -53,7 +53,7 @@ class PrimitiveSpace:
         return self.inclusion.cols
 
     def braided_object(self) -> BraidedObject:
-        return BraidedObject.from_c(self.field, self.dim, self.braiding)
+        return BraidedObject(self.field, self.dim, self.braiding)
 
 
 def equalizer_matrix(B: BialgebraData) -> ExactMatrix:

@@ -62,7 +62,7 @@ def braiding_from_json(obj: dict) -> BraidedObject:
     field = field_from_json(_require(obj, "field"))
     dim = _dim_from_json(obj)
     c = matrix_from_json(field, _require(obj, "c"), "c", rows=dim * dim, cols=dim * dim)
-    return BraidedObject.from_c(field, dim, c)
+    return BraidedObject(field, dim, c)
 
 
 def bialgebra_to_json(B: BialgebraData) -> dict:

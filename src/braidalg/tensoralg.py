@@ -43,8 +43,8 @@ class TruncatedTensorBialgebra:
     coproduct_blocks: dict[tuple[int, int], ExactMatrix]
     # degree -> (primitive basis, its leading rows), filled by ``primitives_of_tensor``
     _primitive_memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
-    # (k, n) -> Δ_{k,n} ⊗ 1_V, kept by ``_padded`` for the second block that reads it
-    _pads: dict = dc_field(default_factory=dict, compare=False, repr=False)
+    # ((k, n), Δ_{k,n} ⊗ 1_V): the last pad ``_padded`` built, kept for its second reader
+    _pad: tuple | None = dc_field(default=None, compare=False, repr=False)
 
     @property
     def field(self):
@@ -90,24 +90,17 @@ class TruncatedTensorBialgebra:
                 moved = whisker(self.V.dim ** (k - 1), self.braid.block(n - k, 1), 1,
                                 self._padded(k - 1, n - 1))
                 block = self._padded(k, n - 1) + moved
-                # only blocks below degree n read a pad below degree n - 1
-                for key in [key for key in self._pads if key[1] < n - 1]:
-                    del self._pads[key]
             self.coproduct_blocks[(k, n)] = block
         return block
 
     def _padded(self, k: int, n: int) -> ExactMatrix:
-        """``Δ_{k,n} ⊗ 1_V``, which blocks ``(k, n+1)`` and ``(k+1, n+1)``
-        both read.  When both are inner blocks (``0 < k < n``), the first to
-        ask keeps the pad for the second, which takes it; extreme blocks are
-        identities and read no pad.  A kept pad is dropped once a block two
-        degrees up is built, since in build order its readers came before;
-        a reader that comes later anyway rebuilds it."""
-        pad = self._pads.pop((k, n), None)
-        if pad is None:
-            pad = whisker(1, self.coproduct_block(k, n), self.V.dim)
-            if 0 < k < n:
-                self._pads[(k, n)] = pad
+        """``Δ_{k,n} ⊗ 1_V``, read by blocks ``(k, n+1)`` and ``(k+1, n+1)``.  In build
+        order the second reader comes right after the first, so the last pad
+        built is kept for it; a reader that comes later rebuilds it."""
+        if self._pad is not None and self._pad[0] == (k, n):
+            return self._pad[1]
+        pad = whisker(1, self.coproduct_block(k, n), self.V.dim)
+        self._pad = ((k, n), pad)
         return pad
 
     def counit_block(self, n: int) -> ExactMatrix:

@@ -18,7 +18,7 @@ with the direct block transpositions and quantum unshuffles of the grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import prod
 
@@ -39,34 +39,34 @@ from .tensoralg import build_truncated
 
 @dataclass(frozen=True)
 class FunctorData:
-    """The strong monoidal endofunctor ``(g, λ)`` of based vector spaces."""
+    """The strong monoidal endofunctor ``(g, λ)``; a singular ``g`` or a zero ``λ`` is refused."""
 
     g: ExactMatrix
-    g_inv: ExactMatrix
     scale: object  # λ, the nonzero scalar of the comparison maps
+    g_inv: ExactMatrix = dc_field(init=False, compare=False)
+
+    def __post_init__(self) -> None:
+        g = self.g
+        object.__setattr__(self, "scale", g.field.element(self.scale))
+        if self.scale == g.field.zero:
+            raise NotInvertible("twist scalar must be nonzero")
+        try:  # an identity is its own inverse
+            object.__setattr__(self, "g_inv", g if g.is_identity() else g.inverse())
+        except NotInvertible as exc:
+            raise NotInvertible(f"basis change must be invertible: {exc}") from exc
 
 
 def basis_change(g: ExactMatrix) -> FunctorData:
-    try:
-        g_inv = g.inverse()
-    except NotInvertible as exc:
-        raise NotInvertible(f"basis change must be invertible: {exc}") from exc
-    return FunctorData(g, g_inv, g.field.one)
+    return FunctorData(g, g.field.one)
 
 
 def scalar_twist(field: FieldSpec, scale, dim: int) -> FunctorData:
-    scale = field.element(scale)
-    if scale == field.zero:
-        raise NotInvertible("twist scalar must be nonzero")
-    one = ExactMatrix.identity(field, dim)
-    return FunctorData(one, one, scale)
+    return FunctorData(ExactMatrix.identity(field, dim), scale)
 
 
 def compose_functors(second: FunctorData, first: FunctorData) -> FunctorData:
-    """``second ∘ first``: matrices compose, inverses in reverse order, and
-    the scalars multiply."""
-    return FunctorData(second.g * first.g, first.g_inv * second.g_inv,
-                       first.g.field.mul(second.scale, first.scale))
+    """``second ∘ first``: the matrices compose and the scalars multiply."""
+    return FunctorData(second.g * first.g, first.g.field.mul(second.scale, first.scale))
 
 
 def check_twist_coherence(F: FunctorData) -> AxiomReport:
@@ -74,8 +74,8 @@ def check_twist_coherence(F: FunctorData) -> AxiomReport:
 
     With ``g_{U⊗V} = g_U ⊗ g_V`` and scalar comparison maps, the
     associativity condition reads ``λ·λ = λ·λ`` whatever ``λ`` is, and the
-    unit conditions read ``λ·λ^{-1} = 1``.  What can fail is the data: that
-    ``g_inv`` inverts ``g`` on both sides and that ``λ`` is invertible.
+    unit conditions read ``λ·λ^{-1} = 1``.  What is left is the data, which
+    ``FunctorData`` checks when it is made: this cannot fail on any functor.
     """
     one = ExactMatrix.identity(F.g.field, F.g.rows)
     report = AxiomReport()
@@ -95,7 +95,7 @@ def _squares(F: FunctorData, dim: int) -> tuple[ExactMatrix, ExactMatrix]:
 def transport_braided_object(F: FunctorData, V: BraidedObject) -> BraidedObject:
     """``c -> (g⊗g) c (g⊗g)^{-1}``."""
     gg, gg_inv = _squares(F, V.dim)
-    return BraidedObject.from_c(V.field, V.dim, gg * V.c * gg_inv)
+    return BraidedObject(V.field, V.dim, gg * V.c * gg_inv)
 
 
 def transport_bialgebra(F: FunctorData, B: BialgebraData) -> BialgebraData:
@@ -215,7 +215,7 @@ def check_J_compatibility(field: FieldSpec, q, N: int) -> AxiomReport:
       elimination route, since the former stacks fewer rows.
     """
     dim = len(q)
-    V = BraidedObject.from_c(field, dim, direct_power_braiding(field, q, 1, 1))
+    V = BraidedObject(field, dim, direct_power_braiding(field, q, 1, 1))
     sq = V.c * V.c
     report = AxiomReport()
     report.add(compare("symmetry", sq, ExactMatrix.identity(field, dim * dim)))

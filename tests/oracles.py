@@ -88,6 +88,35 @@ def block_transposition(d, m, n, parities=None):
     return out
 
 
+class OracleBraidRepCache:
+    """The exchange blocks ``c^{m,n}`` by the right-peeling schedule: a
+    recursion and a cache separate from ``BraidRepCache``, which peels the
+    left block, so that their agreement is the uniqueness of the family."""
+
+    def __init__(self, source):
+        self.source = source
+        self.table = {}
+
+    def block(self, m, n):
+        if m < 0 or n < 0:
+            raise BadDegree(f"block indices must be non-negative, got ({m},{n})")
+        key = (m, n)
+        hit = self.table.get(key)
+        if hit is not None:
+            return hit
+        d = self.source.dim
+        if m == 0 or n == 0:
+            out = ExactMatrix.identity(self.source.field, d ** (m + n))
+        elif m == 1 and n == 1:
+            out = self.source.c
+        elif n == 1:
+            out = whisker(1, self.block(m - 1, 1), d, whisker(d ** (m - 1), self.source.c, 1))
+        else:
+            out = whisker(d ** (n - 1), self.block(m, 1), 1, whisker(1, self.block(m, n - 1), d))
+        self.table[key] = out
+        return out
+
+
 def unshuffle_block(d, k, n, parities=None):
     """Classical (k, n-k) unshuffle sum on basis tensors, with Koszul signs
     computed by explicitly bubbling selected factors to the front."""

@@ -17,7 +17,6 @@ from braidalg import (
     BraidRepCache,
     ExactMatrix,
     NotInvertible,
-    OracleBraidRepCache,
     basis_change,
     build_adjunction_witness,
     build_truncated,
@@ -50,7 +49,13 @@ from braidalg.gallery import (
 from braidalg.serialize import bialgebra_to_json, braiding_to_json
 from braidalg.transport import direct_power_braiding
 
-from oracles import gaussian_binomial, restricted_witt_dimension, unshuffle_block, witt_dimension
+from oracles import (
+    OracleBraidRepCache,
+    gaussian_binomial,
+    restricted_witt_dimension,
+    unshuffle_block,
+    witt_dimension,
+)
 
 F5 = prime_field(5)
 

@@ -2,13 +2,12 @@ from braidalg import (
     RATIONALS,
     BraidRepCache,
     ExactMatrix,
-    OracleBraidRepCache,
     check_hexagon,
     prime_field,
 )
 from braidalg.gallery import braiding_gallery, flip_braiding, scalar_braiding
 
-from oracles import block_transposition
+from oracles import OracleBraidRepCache, block_transposition
 
 F5 = prime_field(5)
 

@@ -17,7 +17,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 DIGESTS = {
     "01_yang_baxter_check.py": "41209ab0d86aadd41ced08eb70658ebc0ebe8ee2d7ec7c760c608db3d3e18b4f",
-    "02_braid_blocks.py": "9ddb8d5bfecf35824c3626e27a136bf4d26a84d9e6bebae83082c15b4945e0f2",
+    "02_braid_blocks.py": "abfda00c8f70dda5f650d49041f06589c04ccdb6e38874a00b743c3b5193cb5b",
     "03_tensor_bialgebra.py": "46ad61427d8d83a787992000e0de59bf0399f54ccbf3e1209f1c5fae0df94870",
     "04_primitives.py": "e0ebdd5482d3247bb9c0837ba152c76200b2162be8937ea994c667d70e1e4142",
     "05_adjunctions.py": "656337e29ec3f1bc7f179586d6370f28fa09b5ed51629c325a817f5c899a3e70",

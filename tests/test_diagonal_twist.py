@@ -8,7 +8,6 @@ from braidalg import (
     RATIONALS,
     BraidRepCache,
     ExactMatrix,
-    OracleBraidRepCache,
     build_truncated,
     check_hexagon,
     check_truncated_axioms,
@@ -18,6 +17,8 @@ from braidalg import (
     tensor_primitive_dims,
 )
 from braidalg.gallery import diagonal_twist_braiding
+
+from oracles import OracleBraidRepCache
 
 F5 = prime_field(5)
 

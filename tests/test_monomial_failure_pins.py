@@ -36,7 +36,7 @@ Z2 = group_algebra_z2(Q)
 def swap(a, b):
     """``e0⊗e0 -> b·e0⊗e1``, ``e0⊗e1 -> a·e0⊗e0``; the other two fixed."""
     c = ExactMatrix(Q, [[0, a, 0, 0], [b, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    return BraidedObject.from_c(Q, 2, c)
+    return BraidedObject(Q, 2, c)
 
 
 SWAP = swap(1, 1)

@@ -101,6 +101,10 @@ def test_over_f_p_there_is_no_certificate():
     assert not primitives_module._zero_kernel_mod_prime(stack)
 
 
+def test_fewer_rows_than_columns_is_not_certified():
+    assert not primitives_module._zero_kernel_mod_prime(ExactMatrix(RATIONALS, [[1, 0]]))
+
+
 @pytest.mark.parametrize("name", ["twist_a", "twist_b", "twist_c"])
 def test_zero_primitives_read_only_the_first_split(name):
     # P_k = 0 for every k >= 2, so the kernel route reads only Δ_{1,n}, and

@@ -173,7 +173,7 @@ class TestGradedBraiding:
             if basis.cols == 0:
                 continue
             c = tensor_primitive_braiding(T, n, n)
-            assert check_yang_baxter(BraidedObject.from_c(RATIONALS, basis.cols, c)).passed
+            assert check_yang_baxter(BraidedObject(RATIONALS, basis.cols, c)).passed
 
     def test_flip_restriction_is_the_flip_of_the_subspaces(self):
         # the plain swap is natural, so through any inclusions it restricts

@@ -211,7 +211,7 @@ class TestOnDemandBuild:
         T = build_truncated(V, 6)
         blocks = dict(T.named_blocks())
         assert len(calls) == sum(2 * n - 1 for n in range(2, 7))
-        assert not T._pads
+        assert T._pad[0] == (5, 5)  # only the last pad built is kept
         eager = eager_coproduct_blocks(V, 6)
         assert all(cells(blocks[f"delta/{k}_{n}"]) == cells(eager[(k, n)]) for k, n in eager)
 
@@ -220,7 +220,7 @@ class TestOnDemandBuild:
         # second reader of the pad Δ_{1,n-1} ⊗ 1_V
         T = build_truncated(diagonal_twist_braiding(RATIONALS, [[2, 3], [5, 7]]), 10)
         bases = [primitives_of_tensor(T, n) for n in range(1, 11)]
-        assert len(T._pads) <= 1
+        assert T._pad[0] == (1, 9)  # one kept pad, the last one built
         assert bases[0] == ExactMatrix.identity(RATIONALS, 2)
         assert [(b.rows, b.cols) for b in bases[1:]] == [(2 ** n, 0) for n in range(2, 11)]
 
@@ -228,7 +228,7 @@ class TestOnDemandBuild:
         V = diagonal_twist_braiding(RATIONALS, [[2, 3], [5, 7]])
         T = build_truncated(V, 6)
         tensor_primitive_dims(T)
-        assert (2, 3) not in T.coproduct_blocks and (1, 2) not in T._pads
+        assert (2, 3) not in T.coproduct_blocks and T._pad[0] != (1, 2)
         blocks = dict(T.named_blocks())
         eager = eager_coproduct_blocks(V, 6)
         assert all(cells(blocks[f"delta/{k}_{n}"]) == cells(eager[(k, n)]) for k, n in eager)

@@ -4,9 +4,11 @@ A traced benchmark run reads ``correct: false`` when one of the spans or
 counts that ``bench/worker.py`` expects of a workload records nothing: a
 kernel change that stops calling ``kron``, ``mul`` or ``compare`` on the
 build-verify path, or stops calling ``FieldSpec.sub`` on the elimination
-path, fails there.  This runs the seed-0 job list of those two workloads
-once under the tracer's ``CallCounter``, in a temporary directory, so the
-same change fails here too.  ``bench/`` is only read.
+path, fails there.  This runs the seed-0 job list of those two workloads,
+and of small-structures (the only one that runs ``transport``,
+``adjunctions``, ``solve`` and ``inverse``), once under the tracer's
+``CallCounter``, in a temporary directory, so the same change fails here
+too.  ``bench/`` is only read.
 """
 
 import importlib
@@ -19,7 +21,7 @@ import braidalg.cli as cli
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.mark.parametrize("workload", ["build-verify", "graded-primitives"])
+@pytest.mark.parametrize("workload", ["build-verify", "graded-primitives", "small-structures"])
 def test_every_expected_span_and_count_is_nonzero(workload, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     worker = importlib.import_module("worker")
