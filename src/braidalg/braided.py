@@ -98,10 +98,6 @@ class BraidedObject:
         lhs, rhs = hexagon(self.c, self.c, self.c, self.dim, self.dim, self.dim)
         return compare("yang_baxter", rhs, lhs)
 
-    def inverse_object(self) -> "BraidedObject":
-        """The same space braided by the inverse operator."""
-        return BraidedObject(self.field, self.dim, self.c_inv)
-
 
 @dataclass(frozen=True)
 class AlgebraData:

@@ -41,7 +41,7 @@ class TruncatedTensorBialgebra:
     braid: BraidRepCache
     # (k, n) -> Δ_{k,n-k}, filled block by block by ``coproduct_block``
     coproduct_blocks: dict[tuple[int, int], ExactMatrix]
-    # degree -> (primitive basis, its leading rows), filled by ``primitives_of_tensor``
+    # degree -> (primitive basis as columns, as rows, its pivots), filled by ``primitives_of_tensor``
     _primitive_memo: dict = dc_field(default_factory=dict, compare=False, repr=False)
     # ((k, n), Δ_{k,n} ⊗ 1_V): the last pad ``_padded`` built, kept for its second reader
     _pad: tuple | None = dc_field(default=None, compare=False, repr=False)

@@ -335,3 +335,12 @@ def test_criterion_17_verify_frontier(tmp_path, monkeypatch):
     assert json.loads(report)["passed"] is True
     assert hashlib.sha256(report.encode()).hexdigest() == (
         "5495c345d45f27ee04fda533e68e7779d736fb4f0e29e302d9b8dab0d4a68c02")
+
+
+def test_criterion_18_primitive_frontier_row_space():
+    # one degree beyond criterion 13 at d=2: the commutators of each degree
+    # are made in one pass over the basis rows of the one below, and every
+    # elimination takes its rows highest leading column first
+    with budget("18 primitive frontier", 10.0):
+        T = build_truncated(flip_braiding(RATIONALS, 2), 12)
+        assert tensor_primitive_dims(T) == [witt_dimension(2, n) for n in range(1, 13)]

@@ -1,5 +1,6 @@
 from braidalg import (
     RATIONALS,
+    BraidedObject,
     BraidRepCache,
     ExactMatrix,
     check_hexagon,
@@ -114,7 +115,7 @@ class TestInvertibility:
     def test_blocks_invert_by_swapped_inverse_schedule(self):
         for name, V in braiding_gallery():
             fwd = BraidRepCache(V)
-            bwd = BraidRepCache(V.inverse_object())
+            bwd = BraidRepCache(BraidedObject(V.field, V.dim, V.c_inv))
             for m in range(6):
                 for n in range(6 - m):
                     prod = fwd.block(m, n) * bwd.block(n, m)

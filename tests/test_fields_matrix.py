@@ -17,7 +17,7 @@ from braidalg import (
     whisker,
 )
 from braidalg.fields import MR_BOUND, FieldSpec, is_prime
-from braidalg.matrix import hstack, stack_rows
+from braidalg.matrix import column_basis, hstack, stack_rows
 from braidalg.gallery import flip_braiding
 from braidalg.serialize import SchemaError, matrix_from_json
 
@@ -390,6 +390,20 @@ class TestSparseRref:
             mp.setattr(ExactMatrix, "rref", dense_rref)
             expected = elimination_outcomes(*inputs)
         assert got == expected
+
+    @given(elimination_inputs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_order_does_not_show(self, inputs, data):
+        # rref takes its rows in one order of its own, so any order of the
+        # input rows gives the same cells, cell types and pivots
+        m = inputs[0]
+        order = data.draw(st.permutations(range(m.rows)))
+        shuffled = from_dense(m.field, [m.data[i] for i in order], m.rows, m.cols)
+        (R, pivots), (R2, pivots2) = m.rref(), shuffled.rref()
+        assert pivots == pivots2
+        assert_same(R2, R)
+        assert_same(column_basis(shuffled), column_basis(m))
+        assert_same(shuffled.nullspace(), m.nullspace())
 
     def test_unreduced_integral_cells(self):
         # integral cells held as Fraction(k, 1), which only the raw constructor stores

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from braidalg import RATIONALS, ExactMatrix, build_truncated, prime_field
+from braidalg.fields import FieldSpec
 from braidalg.gallery import diagonal_twist_braiding, scalar_braiding
 from braidalg.primitives import primitives_of_tensor, tensor_primitive_dims
 from oracles import full_stack_primitives
@@ -94,6 +95,21 @@ def test_a_kernel_nonzero_mod_the_prime_falls_back(monkeypatch):
     assert tensor_primitive_dims(build_truncated(scalar_braiding(RATIONALS, P - 1), 3)) == [1, 0, 0]
     assert verdicts == [False, False, True]
     assert tensor_primitive_dims(build_truncated(scalar_braiding(prime_field(P), P - 1), 3)) == [1, 1, 0]
+
+
+def test_each_cell_reduces_to_its_residue(monkeypatch):
+    # rank 1 over Q, so a reduction that lost a denominator or a sign would
+    # certify a nonzero kernel; the cells reduce inline, with no field call
+    certify = primitives_module._zero_kernel_mod_prime
+    grids = ([["1/2", 1], [1, 2]], [["-2/3", 1], [2, -3]], [[-1, "1/5"], [5, -1]])
+    stacks = [ExactMatrix(RATIONALS, grid) for grid in grids]
+    full = ExactMatrix(RATIONALS, [["1/2", 1], [1, 2], ["-2/3", 5]])
+    calls = []
+    element = FieldSpec.element
+    monkeypatch.setattr(FieldSpec, "element", lambda f, x: calls.append(x) or element(f, x))
+    assert not any(certify(stack) for stack in stacks)
+    assert certify(full)
+    assert calls == []
 
 
 def test_over_f_p_there_is_no_certificate():
