@@ -328,7 +328,7 @@ def cmd_transport(args) -> tuple[dict, bool]:
         fdesc = {"kind": "basis_change", "g": g}
     else:
         try:
-            scale = B.field.parse(args.twist)
+            scale = B.field.element(args.twist)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"'--twist': {exc}") from exc
         F = scalar_twist(B.field, scale, B.dim)

@@ -23,10 +23,6 @@ from math import log10
 
 from .errors import BraidAlgError, FieldMismatch, NotInvertible
 
-RATIONALS_KIND = "rationals"
-PRIME_KIND = "prime"
-
-
 # Miller-Rabin with the first thirteen primes as bases is exact below this
 # bound, psi_13, the least strong pseudoprime to all of them (Sorenson and
 # Webster, Math. Comp. 86, 2017).  The first twelve bases are not enough:
@@ -66,32 +62,21 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """The base field: the rationals, or integers mod a prime ``p``."""
+    """The base field, known by its modulus: None for the rationals, else a prime ``p``."""
 
-    kind: str
     p: int | None = None
 
+    zero = 0
+    one = 1
+
     def __post_init__(self) -> None:
-        if self.kind == RATIONALS_KIND:
-            if self.p is not None:
-                raise ValueError("rationals take no modulus")
-        elif self.kind == PRIME_KIND:
+        if self.p is not None:
             if not isinstance(self.p, int) or isinstance(self.p, bool):
                 raise ValueError(f"modulus must be an integer, got {self.p!r}")
             if not is_prime(self.p):
                 raise ValueError(f"modulus must be prime, got {self.p!r}")
-        else:
-            raise ValueError(f"unknown field kind {self.kind!r}")
 
     # -- elements ------------------------------------------------------
-
-    @property
-    def zero(self):
-        return 0
-
-    @property
-    def one(self):
-        return 1
 
     def element(self, x):
         """Coerce an int, Fraction, or string into a canonical scalar.
@@ -100,7 +85,7 @@ class FieldSpec:
         """
         if isinstance(x, bool):
             raise TypeError(f"cannot coerce {x!r} into {self}")
-        if self.kind == PRIME_KIND:
+        if self.p is not None:
             if isinstance(x, str):
                 x = int(x)
             elif isinstance(x, Fraction):
@@ -127,7 +112,7 @@ class FieldSpec:
         """Reduce a raw arithmetic result to canonical form: mod ``p`` over a
         prime field, and over Q an integral ``Fraction`` becomes its ``int``
         numerator, so no cell is ever held as ``Fraction(k, 1)``."""
-        if self.kind == PRIME_KIND:
+        if self.p is not None:
             return x % self.p
         if type(x) is Fraction and x.denominator == 1:
             return x.numerator
@@ -146,13 +131,10 @@ class FieldSpec:
         return self.normalize(a * b)
 
     def inv(self, x):
-        if self.kind == PRIME_KIND:
-            x %= self.p
-            if x == 0:
-                raise NotInvertible("0 has no inverse")
-            return pow(x, -1, self.p)
-        if x == 0:
+        if x == 0 or self.p is not None and x % self.p == 0:
             raise NotInvertible("0 has no inverse")
+        if self.p is not None:
+            return pow(x, -1, self.p)
         return self.element(Fraction(1, 1) / x)
 
     def format(self, x) -> str:
@@ -165,29 +147,35 @@ class FieldSpec:
             raise BraidAlgError(f"cannot print a scalar of {digits} digits: "
                                 f"the limit is {sys.get_int_max_str_digits()}") from exc
 
-    def parse(self, s: str):
-        return self.element(s)
-
     # -- (de)serialization of the field itself --------------------------
 
     def to_json(self) -> dict:
-        if self.kind == PRIME_KIND:
-            return {"kind": PRIME_KIND, "p": self.p}
-        return {"kind": RATIONALS_KIND}
+        if self.p is None:
+            return {"kind": "rationals"}
+        return {"kind": "prime", "p": self.p}
 
     @staticmethod
     def from_json(obj: dict) -> "FieldSpec":
-        return FieldSpec(obj.get("kind"), obj.get("p"))
+        kind, p = obj.get("kind"), obj.get("p")
+        if kind == "prime":
+            return prime_field(p)
+        if kind != "rationals":
+            raise ValueError(f"unknown field kind {kind!r}")
+        if p is not None:
+            raise ValueError("rationals take no modulus")
+        return RATIONALS
 
     def __str__(self) -> str:
-        return "Q" if self.kind == RATIONALS_KIND else f"F_{self.p}"
+        return "Q" if self.p is None else f"F_{self.p}"
 
 
-RATIONALS = FieldSpec(RATIONALS_KIND)
+RATIONALS = FieldSpec()
 
 
 def prime_field(p: int) -> FieldSpec:
-    return FieldSpec(PRIME_KIND, p)
+    if p is None:
+        raise ValueError("modulus must be an integer, got None")
+    return FieldSpec(p)
 
 
 def require_same_field(a: FieldSpec, b: FieldSpec) -> None:

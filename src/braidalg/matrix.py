@@ -141,10 +141,6 @@ class ExactMatrix:
             and self.nonzeros == other.nonzeros
         )
 
-    def __hash__(self) -> int:
-        rows = tuple(frozenset(row.items()) for row in self.nonzeros)
-        return hash((self.field, self.rows, self.cols, rows))
-
     def __repr__(self) -> str:
         body = "; ".join(" ".join(row) for row in self.to_strings())
         return f"ExactMatrix({self.field}, {self.rows}x{self.cols}: [{body}])"

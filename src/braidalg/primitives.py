@@ -35,7 +35,7 @@ from .errors import (
     NotClosedUnderBraiding,
     SpecViolation,
 )
-from .fields import FieldSpec, prime_field
+from .fields import prime_field
 from .matrix import ExactMatrix, column_map, kron_power, row_basis, whisker
 from .tensoralg import TruncatedTensorBialgebra
 
@@ -44,7 +44,6 @@ from .tensoralg import TruncatedTensorBialgebra
 class PrimitiveSpace:
     """Primitive subspace with its inclusion and the restricted braiding."""
 
-    field: FieldSpec
     inclusion: ExactMatrix  # B.dim x dim, columns = canonical basis
     braiding: ExactMatrix   # dim^2 x dim^2
 
@@ -53,7 +52,7 @@ class PrimitiveSpace:
         return self.inclusion.cols
 
     def braided_object(self) -> BraidedObject:
-        return BraidedObject(self.field, self.dim, self.braiding)
+        return BraidedObject(self.inclusion.field, self.dim, self.braiding)
 
 
 def equalizer_matrix(B: BialgebraData) -> ExactMatrix:
@@ -87,7 +86,7 @@ def primitives(B: BialgebraData, check: bool = True) -> PrimitiveSpace:
         if not gate.passed:
             raise SpecViolation(f"not a braided bialgebra: {gate.failures()[0].name}")
     xi = equalizer_matrix(B).nullspace()
-    return PrimitiveSpace(B.field, xi, restrict_braiding(B.c, xi, xi))
+    return PrimitiveSpace(xi, restrict_braiding(B.c, xi, xi))
 
 
 def check_bialgebra_morphism(f: ExactMatrix, B: BialgebraData, B2: BialgebraData) -> None:
@@ -224,16 +223,17 @@ def _commutator_rows(T: TruncatedTensorBialgebra, n: int) -> list[dict]:
     of ``P_{n-1}`` and each letter ``v``, in that order: the columns of
     ``(1 - c^{n-1,1})(ξ_{n-1} ⊗ 1_V)``.
 
-    When the exchange block keeps a column map with distinct columns, it
-    sends ``e_{cols[r]}`` to ``vals[r]·e_r``, so each row is one pass over
-    ``x``: input key ``i`` lands in row ``inverse[i]``.  Any other block (a
-    dense conjugate of a symmetry) goes through the formula.
+    When the exchange block keeps a column map, it sends ``e_{cols[r]}`` to
+    ``vals[r]·e_r``, and no column repeats, since the block of a symmetry is
+    invertible; so each row is one pass over ``x``: input key ``i`` lands in
+    row ``inverse[i]``.  A block without a map (a dense conjugate of a
+    symmetry) goes through the formula.
     """
     d = T.V.dim
     xi, basis, _ = _tensor_primitives(T, n - 1)
     block = T.braid.block(n - 1, 1)
     cmap = column_map(block)
-    if not (cmap and cmap[2]):
+    if not cmap:
         lifted = whisker(1, xi, d)
         return list((lifted - block * lifted).transpose().nonzeros)
     cols, vals, _ = cmap

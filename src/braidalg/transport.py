@@ -19,7 +19,7 @@ with the direct block transpositions and quantum unshuffles of the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 from .braided import (
@@ -158,20 +158,12 @@ def direct_power_braiding(field: FieldSpec, q, m: int, n: int) -> ExactMatrix:
     dim = len(q)
     size = dim ** (m + n)
     out = [None] * size
-    for I in range(dim ** m):
-        front = _digits(I, m, dim)
+    for I, front in enumerate(product(range(dim), repeat=m)):
         weight = [prod(q[a][b] for a in front) for b in range(dim)]  # Π_{a∈I} q_ab
-        for J in range(dim ** n):
-            coeff = prod(weight[b] for b in _digits(J, n, dim))
+        for J, back in enumerate(product(range(dim), repeat=n)):
+            coeff = prod(weight[b] for b in back)
             out[J * (dim ** m) + I] = {I * (dim ** n) + J: field.element(coeff)}
     return ExactMatrix._raw(field, out, size, size)
-
-
-def _digits(flat: int, length: int, dim: int) -> list[int]:
-    out = [0] * length
-    for pos in range(length - 1, -1, -1):
-        flat, out[pos] = divmod(flat, dim)
-    return out
 
 
 def classical_unshuffle_block(field: FieldSpec, q, k: int, n: int) -> ExactMatrix:
@@ -188,8 +180,7 @@ def classical_unshuffle_block(field: FieldSpec, q, k: int, n: int) -> ExactMatri
     dim = len(q)
     size = dim ** n
     out = [{} for _ in range(size)]
-    for col in range(size):
-        digits = _digits(col, n, dim)
+    for col, digits in enumerate(product(range(dim), repeat=n)):
         for front in combinations(range(n), k):
             back = [a for a in range(n) if a not in front]
             coeff = prod(q[digits[a]][digits[b]] for b in front for a in back if a < b)

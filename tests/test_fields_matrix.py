@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from braidalg import (
 from braidalg.fields import MR_BOUND, FieldSpec, is_prime
 from braidalg.matrix import column_basis, hstack, stack_rows
 from braidalg.gallery import flip_braiding
-from braidalg.serialize import SchemaError, matrix_from_json
+from braidalg.serialize import SchemaError, field_from_json, matrix_from_json
 
 from braidalg.braided import compare
 from oracles import (
@@ -88,17 +89,44 @@ class TestFieldSpec:
 
     @pytest.mark.parametrize("p", ["7", 7.0, True, None])
     def test_modulus_must_be_an_int(self, p):
-        with pytest.raises(ValueError, match="integer"):
-            FieldSpec("prime", p)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'modulus must be an integer, got {p!r}')}$"):
+            prime_field(p)
+
+    @pytest.mark.parametrize("p", [None, 2, 5, 2 ** 61 - 1])
+    def test_a_field_is_its_modulus(self, p):
+        field = RATIONALS if p is None else prime_field(p)
+        assert FieldSpec(p) == field and hash(FieldSpec(p)) == hash(field)
+        assert FieldSpec.from_json(field.to_json()) == field
+        assert FieldSpec() == RATIONALS
+
+    @pytest.mark.parametrize("obj, message", [
+        (None, "'field' must be an object"),
+        ("q", "'field' must be an object"),
+        ([], "'field' must be an object"),
+        ({}, "'field': unknown field kind None"),
+        ({"kind": "reals"}, "'field': unknown field kind 'reals'"),
+        ({"kind": "prime"}, "'field': modulus must be an integer, got None"),
+        ({"kind": "prime", "p": 4}, "'field': modulus must be prime, got 4"),
+        ({"kind": "prime", "p": -7}, "'field': modulus must be prime, got -7"),
+        ({"kind": "prime", "p": "7"}, "'field': modulus must be an integer, got '7'"),
+        ({"kind": "prime", "p": 7.0}, "'field': modulus must be an integer, got 7.0"),
+        ({"kind": "prime", "p": 10 ** 30}, "'field': modulus 1000000000000000000000000000000 "
+         "is too large: primality is decided only below 3317044064679887385961981"),
+        ({"kind": "rationals", "p": 3}, "'field': rationals take no modulus"),
+    ])
+    def test_field_from_json_messages(self, obj, message):
+        with pytest.raises(SchemaError) as info:
+            field_from_json(obj)
+        assert str(info.value) == message
 
     def test_parse_format_roundtrip(self):
-        assert RATIONALS.parse("-3/6") == Fraction(-1, 2)
-        assert RATIONALS.format(RATIONALS.parse("-3/6")) == "-1/2"
-        assert RATIONALS.parse("4/2") == 2
-        assert RATIONALS.format(RATIONALS.parse("4/2")) == "2"
-        assert RATIONALS.parse(" +007 ") == 7 and RATIONALS.parse("1_000/3") == Fraction(1000, 3)
-        assert F5.parse("7") == 2
-        assert F5.format(F5.parse("-1")) == "4"
+        assert RATIONALS.element("-3/6") == Fraction(-1, 2)
+        assert RATIONALS.format(RATIONALS.element("-3/6")) == "-1/2"
+        assert RATIONALS.element("4/2") == 2
+        assert RATIONALS.format(RATIONALS.element("4/2")) == "2"
+        assert RATIONALS.element(" +007 ") == 7 and RATIONALS.element("1_000/3") == Fraction(1000, 3)
+        assert F5.element("7") == 2
+        assert F5.format(F5.element("-1")) == "4"
 
     @pytest.mark.parametrize("text", ["1.5", "1e3", "1E3", "2/1e2", ".5", "1/0.5", "inf"])
     def test_rationals_read_only_a_and_a_over_b(self, text):

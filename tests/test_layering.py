@@ -1,6 +1,6 @@
 """Every import in the library sits at module level, no check is an
-``assert``, every parameter is read, and every error class is raised and
-tested.
+``assert``, every parameter is read, every error class is raised and
+tested, and a field is known by its modulus alone.
 
 A function-level import hides a dependency from the module header and lets
 a lower layer reach into a higher one at call time, so the guard parses each
@@ -20,6 +20,11 @@ never see, and one that no test names is raised where nobody has seen it
 happen.  So a fourth guard requires each ``BraidAlgError`` subclass in
 ``errors.py`` to appear in some ``raise`` statement of the package and to be
 named in some test module.
+
+A field is its modulus ``p``, None for the rationals, and a second record
+of which field it is would be a second fact to keep in step with the
+first.  So a fifth guard rejects any read of an attribute named ``kind`` in
+the same modules; the word stays only as a key of the field's JSON.
 """
 
 import ast
@@ -151,3 +156,20 @@ def test_guard_sees_an_error_never_raised():
     assert unseen_errors(errors, [library], ["with raises(A):\n    f(1)\n"]) == ["B"]
     assert unseen_errors(errors, [library], ["x = 1\n"]) == ["A", "B"]
     assert unseen_errors(errors, [library, "raise B\n"], ["errors.A, errors.B\n"]) == []
+
+
+def attribute_reads(source: str, name: str) -> list[int]:
+    """Line numbers where ``source`` reads an attribute called ``name``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_field_kind_is_read(path):
+    assert attribute_reads(path.read_text(encoding="utf-8"), "kind") == []
+
+
+def test_guard_sees_a_kind_attribute():
+    source = ("def f(field, kind):\n    if kind == 'prime':\n        return field.kind\n"
+              "    return {'kind': kind}.get('kind')\n")
+    assert attribute_reads(source, "kind") == [3]
