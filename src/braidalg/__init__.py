@@ -74,7 +74,7 @@ from .transport import (
     check_J_compatibility,
     check_primfunct_square,
     check_twist_coherence,
-    classical_unshuffle_block,
+    classical_unshuffle_blocks,
     compose_functors,
     direct_power_braiding,
     scalar_twist,

@@ -13,14 +13,18 @@ A base-category braiding is diagonal, ``e_i ⊗ e_j -> q_ij e_j ⊗ e_i`` for a
 square grid ``q`` of nonzero scalars: the flip is the all-ones grid, and the
 parity-signed flip puts ``-1`` where both indices are odd.  When the grid is
 a symmetry, ``check_J_compatibility`` compares the braided tensor bialgebra
-with the direct block transpositions and quantum unshuffles of the grid.
+with two closed forms of the grid: the direct block transpositions
+(``direct_power_braiding``) and the quantum unshuffle sums
+(``classical_unshuffle_blocks``, every block up to a degree in one pass).
+Both evaluate their formulas directly and read no exchange or coproduct
+block, so the comparison is between independent routes.  Each builds its
+coefficients as running products, one multiplication per deal or cell,
+and makes each output cell canonical once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
-from math import prod
 
 from .braided import (
     AxiomReport,
@@ -153,44 +157,81 @@ def _grid(field: FieldSpec, q) -> list[list]:
 def direct_power_braiding(field: FieldSpec, q, m: int, n: int) -> ExactMatrix:
     """The diagonal braiding of the grid ``q`` evaluated directly on
     ``V^{⊗m} ⊗ V^{⊗n}``: ``e_I ⊗ e_J -> (Π_{a∈I, b∈J} q_ab) e_J ⊗ e_I``,
-    computed without any recursion."""
+    computed without any recursion.
+
+    The weights ``Π_{a∈I} q_ab`` of every front word ``I`` are list products
+    over its letters, and so are the coefficients of the back words ``J``
+    for one front word: one multiplication per cell of each list."""
     q = _grid(field, q)
-    dim = len(q)
-    size = dim ** (m + n)
+    dim, p = len(q), field.p
+    weights = [(1,) * dim]  # Π_{a∈I} q_ab for each b, one tuple per front word I
+    for _ in range(m):
+        weights = [tuple(x * y % p if p else x * y for x, y in zip(w, qa))
+                   for w in weights for qa in q]
+    size, width = dim ** (m + n), dim ** m
     out = [None] * size
-    for I, front in enumerate(product(range(dim), repeat=m)):
-        weight = [prod(q[a][b] for a in front) for b in range(dim)]  # Π_{a∈I} q_ab
-        for J, back in enumerate(product(range(dim), repeat=n)):
-            coeff = prod(weight[b] for b in back)
-            out[J * (dim ** m) + I] = {I * (dim ** n) + J: field.element(coeff)}
+    for I, w in enumerate(weights):
+        coeffs = [1]  # Π_{b∈J} w_b for each back word J
+        for _ in range(n):
+            coeffs = [c * x % p if p else c * x for c in coeffs for x in w]
+        start = I * dim ** n
+        for J, c in enumerate(coeffs):
+            out[J * width + I] = {start + J: c if p or type(c) is int else field.normalize(c)}
     return ExactMatrix._raw(field, out, size, size)
 
 
-def classical_unshuffle_block(field: FieldSpec, q, k: int, n: int) -> ExactMatrix:
-    """The ``(k, n-k)`` coproduct block of the tensor bialgebra of the
-    diagonal braiding ``q``, computed as the quantum unshuffle sum (Rosso,
-    *Invent. Math.* 133, 1998).
+def classical_unshuffle_blocks(field: FieldSpec, q, N: int) -> list[list[ExactMatrix]]:
+    """Every coproduct block of the tensor bialgebra of the diagonal braiding
+    ``q`` up to degree ``N``, as quantum unshuffle sums (Rosso, *Invent.
+    Math.* 133, 1998): entry ``[n][k]`` is the ``(k, n-k)`` block.
 
-    Independent of the braided recursion: for every basis tensor and every
-    ``k``-subset of positions moved to the front, the term picks up
-    ``q_{digit(a), digit(b)}`` for each back position ``a`` that comes
-    before a front position ``b``.
+    Independent of the braided recursion.  A basis word is dealt letter by
+    letter, left to right, to a front word and a back word; a letter dealt to
+    the front passes every letter already at the back, so the term picks up
+    ``Π q_{x,z}`` over those letters ``x``.  Each deal carries that product
+    for each letter ``z`` as a ``dim``-vector, so dealing a letter to the
+    front is one multiplication.  The words are walked depth first, so words
+    with a common prefix share its deals and only the deals of one path are
+    held at a time.  Deals of one word that reach the same front and back
+    words are summed at once, and a sum that vanishes (terms can cancel, and
+    a sum can vanish mod p) is dropped with every deal that extends it.
     """
     q = _grid(field, q)
-    dim = len(q)
-    size = dim ** n
-    out = [{} for _ in range(size)]
-    for col, digits in enumerate(product(range(dim), repeat=n)):
-        for front in combinations(range(n), k):
-            back = [a for a in range(n) if a not in front]
-            coeff = prod(q[digits[a]][digits[b]] for b in front for a in back if a < b)
-            row = 0
-            for pos in (*front, *back):
-                row = row * dim + digits[pos]
-            out[row][col] = out[row].get(col, 0) + coeff
-    # terms can cancel, and a sum can vanish mod p
-    cells = ({c: y for c, x in row.items() if (y := field.element(x))} for row in out)
-    return ExactMatrix._raw(field, cells, size, size)
+    dim, p, norm = len(q), field.p, field.normalize
+    rows = [[[{} for _ in range(dim ** n)] for _ in range(n + 1)] for n in range(N + 1)]
+    moved = {}  # (weight, z) -> the weight once the letter z is at the back
+
+    def deal(n: int, word: int, deals: dict) -> None:
+        # write column ``word`` of every block of degree n, then deal one more letter
+        live = []
+        for (k, front, back), (c, w) in deals.items():
+            if p:
+                c %= p
+            elif type(c) is not int:
+                c = norm(c)
+            if c:
+                rows[n][k][front * dim ** (n - k) + back][word] = c
+                live.append((k, front, back, c, w))
+        if n == N:
+            return
+        for z in range(dim):
+            out = {}  # (k, front, back) -> (summed coefficient, weight)
+            for k, front, back, c, w in live:
+                x = c * w[z] % p if p else c * w[z]
+                key = (k + 1, front * dim + z, back)
+                out[key] = (out[key][0] + x, w) if key in out else (x, w)
+                key = (k, front, back * dim + z)
+                if key in out:
+                    out[key] = (out[key][0] + c, out[key][1])
+                    continue
+                if (w, z) not in moved:
+                    moved[w, z] = tuple(a * b % p if p else a * b for a, b in zip(w, q[z]))
+                out[key] = (c, moved[w, z])
+            deal(n + 1, word * dim + z, out)
+
+    deal(0, 0, {(0, 0, 0): (1, (1,) * dim)})
+    return [[ExactMatrix._raw(field, block, dim ** n, dim ** n) for block in blocks]
+            for n, blocks in enumerate(rows)]
 
 
 def check_J_compatibility(field: FieldSpec, q, N: int) -> AxiomReport:
@@ -220,12 +261,12 @@ def check_J_compatibility(field: FieldSpec, q, N: int) -> AxiomReport:
                 T.braiding_block(m, n),
                 direct_power_braiding(field, q, m, n),
             ))
-    classical = {n: [classical_unshuffle_block(field, q, k, n) for k in range(n + 1)]
-                 for n in range(1, N + 1)}
-    for n, blocks in classical.items():
-        for k, block in enumerate(blocks):
+    classical = classical_unshuffle_blocks(field, q, N)
+    for n in range(1, N + 1):
+        for k, block in enumerate(classical[n]):
             report.add(compare(f"unshuffle[{k},{n}]", T.coproduct_block(k, n), block))
-    for n, blocks in classical.items():
+    for n in range(1, N + 1):
+        blocks = classical[n]
         braided_xi = primitives_of_tensor(T, n)
         plain_xi = stack_rows(blocks[1:n], field, dim ** n).nullspace()
         report.add(compare(f"primitive_inclusion[{n}]", braided_xi, plain_xi))

@@ -6,8 +6,8 @@ matrix and recursion code, so agreement is meaningful.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, prod
 
 from braidalg.braided import CheckItem
 from braidalg.braidrep import BraidRepCache
@@ -143,6 +143,45 @@ def unshuffle_block(d, k, n, parities=None):
             row = flat_of([dig[p] for p in arrangement], d)
             out[row][col] += sign
     return out
+
+
+def per_term_power_braiding(field, q, m, n):
+    """The diagonal braiding of the grid ``q`` on ``V^{⊗m} ⊗ V^{⊗n}``, one
+    product ``Π_{a∈I, b∈J} q_ab`` per cell: the reference for the list
+    products of ``transport.direct_power_braiding``."""
+    q = [[field.element(x) for x in row] for row in q]
+    dim = len(q)
+    size = dim ** (m + n)
+    out = [None] * size
+    for I, front in enumerate(product(range(dim), repeat=m)):
+        weight = [prod(q[a][b] for a in front) for b in range(dim)]  # Π_{a∈I} q_ab
+        for J, back in enumerate(product(range(dim), repeat=n)):
+            coeff = prod(weight[b] for b in back)
+            out[J * (dim ** m) + I] = {I * (dim ** n) + J: field.element(coeff)}
+    return ExactMatrix._raw(field, out, size, size)
+
+
+def per_term_unshuffle_block(field, q, k, n):
+    """The ``(k, n-k)`` quantum unshuffle block of the grid ``q``, one term
+    per basis tensor and ``k``-subset of positions moved to the front: the
+    term picks up ``q_{digit(a), digit(b)}`` for each back position ``a``
+    before a front position ``b``.  The reference for the one-pass deal of
+    ``transport.classical_unshuffle_blocks``."""
+    q = [[field.element(x) for x in row] for row in q]
+    dim = len(q)
+    size = dim ** n
+    out = [{} for _ in range(size)]
+    for col, digits in enumerate(product(range(dim), repeat=n)):
+        for front in combinations(range(n), k):
+            back = [a for a in range(n) if a not in front]
+            coeff = prod(q[digits[a]][digits[b]] for b in front for a in back if a < b)
+            row = 0
+            for pos in (*front, *back):
+                row = row * dim + digits[pos]
+            out[row][col] = out[row].get(col, 0) + coeff
+    # terms can cancel, and a sum can vanish mod p
+    cells = ({c: y for c, x in row.items() if (y := field.element(x))} for row in out)
+    return ExactMatrix._raw(field, cells, size, size)
 
 
 def full_stack_primitives(T, n):

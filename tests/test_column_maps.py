@@ -40,7 +40,7 @@ def assert_same(got, want):
 def nonzero(field):
     if field.p is None:
         return st.one_of(st.integers(-3, 3),
-                         st.fractions(min_value=-3, max_value=3, max_denominator=4)).filter(bool)
+                         st.fractions(min_value=-3, max_value=3, max_denominator=12)).filter(bool)
     return st.integers(1, field.p - 1)
 
 
@@ -148,6 +148,25 @@ class TestCases:
         assert typed(ExactMatrix(Q, [[2, 4]]) * D) == [[(0, int, 1), (1, int, 2)]]
         assert typed(whisker_chain((1, X, 1), (1, D, 1))) == [[(1, int, 1)], [(0, int, 1)]]
         assert typed(D.kron(X)) == [[(1, int, 1)], [(0, int, 1)], [(3, int, 1)], [(2, int, 1)]]
+
+    def test_denominators_two_and_three_cancel(self):
+        # the summing loop adds integers over the lcm of the terms' denominators
+        third, half, sixth = Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)
+        ones = ExactMatrix(Q, [[1]] * 4)
+        X = ExactMatrix(Q, [[half, half, third, 2 * third],    # 2, an int
+                            [half, -third, -sixth, 0],          # 0, no cell
+                            [half, third, 0, 0]])               # 5/6
+        assert typed(X * ones) == [[(0, int, 2)], [], [(0, Fraction, Fraction(5, 6))]]
+        # denominators in the rows of M, and in both factors
+        M = ExactMatrix(Q, [[half, third], [half, -third]])
+        assert typed(ExactMatrix(Q, [[1, 1]]) * M) == [[(0, int, 1)]]
+        assert typed(ExactMatrix(Q, [[third, 3]]) * M) == [[(0, Fraction, Fraction(5, 3)), (1, Fraction, Fraction(-8, 9))]]
+        G = ExactMatrix(Q, [[2 * third, 1], [-half, 3 * half]])
+        assert typed(ExactMatrix(Q, [[half, third], [3, 4]]) * G) == [
+            [(0, Fraction, sixth), (1, int, 1)], [(1, int, 9)]]
+        for left, right in ((1, 1), (2, 1), (1, 2)):
+            padded = whisker(left, ones, right)
+            assert_same(whisker(left, X, right, padded), dense_chain((left, X, right), (left, ones, right)))
 
     @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
     def test_empty_shapes(self, shape):

@@ -25,6 +25,13 @@ A field is its modulus ``p``, None for the rationals, and a second record
 of which field it is would be a second fact to keep in step with the
 first.  So a fifth guard rejects any read of an attribute named ``kind`` in
 the same modules; the word stays only as a key of the field's JSON.
+
+``check_J_compatibility`` compares the braided recursion with two closed
+forms of a diagonal grid, the direct block transpositions and the quantum
+unshuffle sums.  The comparison means something only while neither closed
+form is built from what it is compared with, so a sixth guard rejects any
+read of the tensor bialgebra, the exchange-block cache or the padding
+kernels in either oracle, or in a function of ``transport.py`` they call.
 """
 
 import ast
@@ -173,3 +180,41 @@ def test_guard_sees_a_kind_attribute():
     source = ("def f(field, kind):\n    if kind == 'prime':\n        return field.kind\n"
               "    return {'kind': kind}.get('kind')\n")
     assert attribute_reads(source, "kind") == [3]
+
+
+ORACLES = ("direct_power_braiding", "classical_unshuffle_blocks")
+RECURSION = {"build_truncated", "BraidRepCache", "coproduct_block", "braiding_block",
+             "whisker", "whisker_chain"}
+
+
+def names_reached(source: str, function: str) -> set[str]:
+    """The names and attribute names that ``function`` of ``source`` reads,
+    with those of the functions of ``source`` that it calls, at any depth."""
+    defs = {node.name: node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    seen, todo, names = set(), [function], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        reads = ({n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+                 | {n.attr for n in ast.walk(defs[name]) if isinstance(n, ast.Attribute)})
+        names |= reads
+        todo += [n for n in reads if n in defs]
+    return names
+
+
+@pytest.mark.parametrize("oracle", ORACLES)
+def test_closed_forms_read_no_recursion(oracle):
+    source = (PACKAGE / "transport.py").read_text(encoding="utf-8")
+    assert names_reached(source, oracle) & RECURSION == set()
+
+
+def test_guard_sees_the_recursion_read():
+    source = ("def direct(T, n):\n    return T.coproduct_block(1, n)\n\n"
+              "def helper(V, x):\n    return whisker(1, V, 1, x)\n\n"
+              "def indirect(V, x):\n    def inner():\n        return helper(V, x)\n    return inner()\n\n"
+              "def clean(q):\n    return [row[:] for row in q]\n")
+    assert names_reached(source, "direct") & RECURSION == {"coproduct_block"}
+    assert names_reached(source, "indirect") & RECURSION == {"whisker"}
+    assert names_reached(source, "clean") & RECURSION == set()

@@ -18,7 +18,7 @@ from braidalg import (
     check_braided_bialgebra,
     check_primfunct_square,
     check_twist_coherence,
-    classical_unshuffle_block,
+    classical_unshuffle_blocks,
     compose_functors,
     direct_power_braiding,
     prime_field,
@@ -38,7 +38,12 @@ from braidalg.gallery import (
     super_braiding,
 )
 
-from oracles import block_transposition, noncanonical_cells
+from oracles import (
+    block_transposition,
+    noncanonical_cells,
+    per_term_power_braiding,
+    per_term_unshuffle_block,
+)
 
 F5 = prime_field(5)
 F7 = prime_field(7)
@@ -282,9 +287,11 @@ class TestJCompatibility:
         assert len(rep.items) == 1  # nothing else ran
 
 
-# Diagonal grids, most of them not symmetries: flip d=2, super (0,1,1), the
-# scalar q=2 over Q and over F_7, two twists and a 3x3 grid.  (field, grid, N)
+# Diagonal grids, most of them not symmetries: flip d=2 over Q and over F_3,
+# super (0,1,1), the scalar q=2 over Q and over F_7, two twists and a 3x3
+# grid.  (field, grid, N)
 GRIDS = {
+    "flip_d2_F3": (prime_field(3), FLIP2, 5),
     "flip_d2_Q": (RATIONALS, FLIP2, 5),
     "super_011_Q": (RATIONALS, parity_grid((0, 1, 1)), 4),
     "q2_Q": (RATIONALS, [[2]], 5),
@@ -293,6 +300,10 @@ GRIDS = {
     "twist_Q": (RATIONALS, [["1/2", 2], ["2/3", 3]], 5),
     "grid3_Q": (RATIONALS, [[1, 2, 3], [4, 5, 6], [7, 8, 9]], 4),
 }
+
+
+def typed(m):
+    return [[(j, type(x), x) for j, x in sorted(row.items())] for row in m.nonzeros]
 
 
 def dense_grid_braiding(field, grid):
@@ -318,11 +329,33 @@ class TestQuantumShuffleOracle:
     def test_unshuffle_matches_coproduct_blocks(self, name):
         field, grid, N = GRIDS[name]
         T = build_truncated(dense_grid_braiding(field, grid), N)
-        for n in range(1, N + 1):
-            for k in range(n + 1):
-                block = classical_unshuffle_block(field, grid, k, n)
+        blocks = classical_unshuffle_blocks(field, grid, N)
+        assert len(blocks) == N + 1
+        for n in range(N + 1):
+            assert len(blocks[n]) == n + 1
+            for k, block in enumerate(blocks[n]):
                 assert block == T.coproduct_block(k, n), (k, n)
                 assert noncanonical_cells(block) == [], (k, n)
+
+    def test_unshuffle_matches_per_term_sum(self, name):
+        # cell for cell, value and Python type, against one term per subset
+        field, grid, _ = GRIDS[name]
+        N = 6 if len(grid) < 3 else 4
+        blocks = classical_unshuffle_blocks(field, grid, N)
+        for n in range(N + 1):
+            for k in range(n + 1):
+                want = per_term_unshuffle_block(field, grid, k, n)
+                assert (blocks[n][k].rows, blocks[n][k].cols) == (want.rows, want.cols)
+                assert typed(blocks[n][k]) == typed(want), (k, n)
+
+    def test_direct_power_matches_per_term_product(self, name):
+        field, grid, _ = GRIDS[name]
+        N = 6 if len(grid) < 3 else 4
+        for m in range(N + 1):
+            for n in range(N + 1 - m):
+                got, want = direct_power_braiding(field, grid, m, n), per_term_power_braiding(field, grid, m, n)
+                assert (got.rows, got.cols) == (want.rows, want.cols)
+                assert typed(got) == typed(want), (m, n)
 
     def test_direct_power_matches_braid_cache(self, name):
         field, grid, N = GRIDS[name]
@@ -332,3 +365,22 @@ class TestQuantumShuffleOracle:
                 block = direct_power_braiding(field, grid, m, n)
                 assert block == cache.block(m, n), (m, n)
                 assert noncanonical_cells(block) == [], (m, n)
+
+
+class TestVanishingUnshuffleSums:
+    """A sum of unshuffle terms that vanishes mod p leaves no cell."""
+
+    def test_flip_over_f3(self):
+        # e_0 e_0 e_0 has three (1, 2) unshuffles, all onto e_0 ⊗ e_0 e_0
+        blocks = classical_unshuffle_blocks(prime_field(3), FLIP2, 3)
+        assert per_term_unshuffle_block(RATIONALS, FLIP2, 1, 3)[0, 0] == 3
+        assert 0 not in blocks[3][1].nonzeros[0]
+        assert blocks[3][1] == build_truncated(flip_braiding(prime_field(3), 2), 3).coproduct_block(1, 3)
+
+    def test_quantum_binomial_over_f7(self):
+        # [3 choose 1]_2 = 1 + 2 + 4 = 7: the whole (1, 2) block of the line vanishes
+        blocks = classical_unshuffle_blocks(F7, [[2]], 4)
+        assert per_term_unshuffle_block(RATIONALS, [[2]], 1, 3)[0, 0] == 7
+        assert blocks[3][1].is_zero() and blocks[3][2].is_zero()
+        # [4 choose 2]_2 = 35 vanishes too, [4 choose 1]_2 = 15 does not
+        assert blocks[4][2].is_zero() and typed(blocks[4][1]) == [[(0, int, 1)]]
