@@ -9,9 +9,8 @@ Every stored cell is canonical for its field (see ``fields``): over Q an
 ``int`` when integral and a ``Fraction`` with denominator > 1 otherwise,
 over F_p an ``int`` in ``[1, p)``.  Kernels keep this by passing each cell
 they compute through a ``FieldSpec`` op (the product kernels reduce F_p
-cells with an inline ``% p``, and the summing loop over Q adds integer
-numerators over a common denominator and writes each cell in canonical
-form once); cells they only copy are canonical already.
+cells with an inline ``% p``, and the summing loop over Q normalizes only
+a sum that is not an ``int``); cells they only copy are canonical already.
 So equal matrices also agree in the Python type of every cell.
 
 Conventions, pinned once and used everywhere:
@@ -39,9 +38,6 @@ is that canonical form, for any spanning set of a subspace.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import gcd, lcm
 
 from .errors import LinearSolveError, NotInvertible, ShapeError
 from .fields import FieldSpec, require_same_field
@@ -422,13 +418,8 @@ def _apply(left: int, X: ExactMatrix, right: int, M: ExactMatrix) -> ExactMatrix
     cell is one; when ``M`` keeps one with distinct columns, each output row
     is a row of ``X`` with its keys relabelled.  A single-cell row of ``X``
     without a map still picks its rows of ``M``.  A product of two nonzeros
-    is nonzero, so only sums are tested for zero.
-
-    Over Q a sum is taken in integers: each row of ``M`` it reads is scaled
-    once per product by the lcm of its denominators, the terms of one output
-    row are brought to the lcm ``D`` of their denominators, and each output
-    cell is written once, ``y // D`` or ``Fraction(y, D)``.  Integral data
-    keep ``D = 1`` and make no ``Fraction`` at all.
+    is nonzero, so only sums are tested for zero.  Over Q a sum that is an
+    ``int`` is canonical already, so only a ``Fraction`` sum is normalized.
     """
     require_same_field(X.field, M.field)
     f = X.field
@@ -449,7 +440,6 @@ def _apply(left: int, X: ExactMatrix, right: int, M: ExactMatrix) -> ExactMatrix
                                {mcols[i]: a * mvals[i] % p if p else norm(a * mvals[i])
                                 for i, a in ((o + k * right, a) for k, a in row.items())})
         return ExactMatrix._raw(f, out, rows, M.cols)
-    scaled = [None] * M.rows  # over Q, the rows of M made integral, found on first use
     for s in range(left):
         base = s * X.cols
         for row in X.nonzeros:
@@ -461,41 +451,12 @@ def _apply(left: int, X: ExactMatrix, right: int, M: ExactMatrix) -> ExactMatrix
                 continue
             for t in range(right):
                 acc = {}
-                if p:
-                    for k, a in row.items():
-                        for j, b in mrows[(base + k) * right + t].items():
-                            acc[j] = acc.get(j, 0) + a * b
-                    out.append({j: x for j, y in acc.items() if (x := y % p)})
-                    continue
-                D = 1
                 for k, a in row.items():
-                    i = (base + k) * right + t
-                    L, mrow = scaled[i] or _integral(scaled, i, mrows[i])
-                    if type(a) is not int:
-                        a, L = a.numerator, a.denominator * L
-                    if L != D:
-                        if D % L:
-                            g = L // gcd(D, L)
-                            for j in acc:
-                                acc[j] *= g
-                            D *= g
-                        a *= D // L
-                    for j, b in mrow.items():
+                    for j, b in mrows[(base + k) * right + t].items():
                         acc[j] = acc.get(j, 0) + a * b
-                out.append({j: y for j, y in acc.items() if y} if D == 1 else
-                           {j: y // D if y % D == 0 else Fraction(y, D) for j, y in acc.items() if y})
+                out.append({j: x for j, y in acc.items()
+                            if (x := y % p if p else y if type(y) is int else norm(y))})
     return ExactMatrix._raw(f, out, rows, M.cols)
-
-
-def _integral(scaled: list, i: int, row: dict) -> tuple:
-    """``(L, L * row)`` for the lcm ``L`` of the denominators of a row over Q,
-    kept at ``scaled[i]``; an integral row is kept as it is."""
-    L = 1
-    if Fraction in map(type, row.values()):
-        L = lcm(*(x.denominator for x in row.values()))
-        row = {j: x.numerator * (L // x.denominator) for j, x in row.items()}
-    scaled[i] = L, row
-    return scaled[i]
 
 
 def column_map(m: ExactMatrix):

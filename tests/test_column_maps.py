@@ -150,7 +150,7 @@ class TestCases:
         assert typed(D.kron(X)) == [[(1, int, 1)], [(0, int, 1)], [(3, int, 1)], [(2, int, 1)]]
 
     def test_denominators_two_and_three_cancel(self):
-        # the summing loop adds integers over the lcm of the terms' denominators
+        # a sum of Fraction terms that cancels to an integer is stored as an int
         third, half, sixth = Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)
         ones = ExactMatrix(Q, [[1]] * 4)
         X = ExactMatrix(Q, [[half, half, third, 2 * third],    # 2, an int
