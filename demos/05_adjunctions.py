@@ -25,12 +25,12 @@ B = exterior_line(RATIONALS)
 
 # The adjunction counit on an algebra acts in degree n as the n-fold
 # product.  On the exterior line, degree 2 already hits x*x = 0.
-two = iterated_products(B.algebra, 2)[2]
+two = iterated_products(B, 2)[2]
 print("exterior line, 2-fold product of x with x:",
       [two[i, 3] for i in range(2)], "(the zero column)")
 
 print("free/forgetful triangles at truncation 4:",
-      all(check_triangles_T_Omega(bialg.algebra, 4)
+      all(check_triangles_T_Omega(bialg, 4)
           for bialg in (B, group_algebra_z2(RATIONALS))))
 
 # The counit of the tensor-bialgebra/primitives adjunction extends the

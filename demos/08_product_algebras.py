@@ -26,21 +26,21 @@ B = exterior_line(RATIONALS)
 
 # The square of the exterior line with the signed exchange: 4-dimensional,
 # with (1 x x) * (x x 1) = -(x x x) showing up in the product matrix.
-spec = ProductAlgebraSpec(B.algebra, B.algebra,
+spec = ProductAlgebraSpec(B, B,
                           {(i, j): B.c for i in (1, 2) for j in (1, 2)})
 square = product_algebra(spec)
-print("square of the exterior line: dim", square.algebra.dim)
-print("  associative and unital:", check_algebra(square.algebra).passed)
-print("  braided algebra:", check_braided_algebra(square.algebra, square.c).passed)
+print("square of the exterior line: dim", square.dim)
+print("  associative and unital:", check_algebra(square).passed)
+print("  braided algebra:", check_braided_algebra(square, square.c).passed)
 col = 1 * 4 + 2  # (1 x x) times (x x 1)
-print("  (1 x x)(x x 1) column:", [square.algebra.m[i, col] for i in range(4)],
+print("  (1 x x)(x x 1) column:", [square.m[i, col] for i in range(4)],
       "(= -x x x)")
 
 # The same data packaged as the doubling of a braided algebra; its braiding
 # is the block c^{2,2} of the braided object.
-dbl = double_braiding(B.algebra, B.c)
+dbl = double_braiding(B, B.c)
 print("\ndoubling: braiding of A x A passes Yang-Baxter:",
-      check_yang_baxter(BraidedObject(RATIONALS, 4, dbl.c)).passed)
+      check_yang_baxter(BraidedObject(dbl.c)).passed)
 
 # In dimension 1 the exchange blocks c^{2,1} (against A) and c^{2,2} (of
 # A x A) collapse to scalar powers.
@@ -51,7 +51,7 @@ print("scalar q=3: exchange against the square is q^2 =", blocks.block(2, 1)[0, 
 # The hypotheses are really checked: the identity is not a valid exchange
 # for a non-commutative-style interaction.
 try:
-    bad = ProductAlgebraSpec(B.algebra, B.algebra,
+    bad = ProductAlgebraSpec(B, B,
                              {(i, j): ExactMatrix.identity(RATIONALS, 4)
                               for i in (1, 2) for j in (1, 2)})
     product_algebra(bad)

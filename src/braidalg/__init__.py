@@ -41,7 +41,6 @@ from .braidrep import (
 )
 from .errors import (
     BadDegree,
-    BadTruncation,
     BraidAlgError,
     FieldMismatch,
     LinearSolveError,
@@ -50,7 +49,6 @@ from .errors import (
     NotInvertible,
     ShapeError,
     SpecViolation,
-    TruncationOverflow,
 )
 from .fields import RATIONALS, FieldSpec, prime_field
 from .matrix import ExactMatrix, hstack, kron_power, whisker

@@ -82,7 +82,7 @@ def build_adjunction_witness(B: BialgebraData, N: int) -> AdjunctionWitness:
         bialgebra=B,
         space=space,
         tensor=build_truncated(space.braided_object(), N),
-        zeta_blocks=primitive_counit_blocks(iterated_products(B.algebra, N), space.inclusion),
+        zeta_blocks=primitive_counit_blocks(iterated_products(B, N), space.inclusion),
     )
 
 

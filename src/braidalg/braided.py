@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from math import isqrt
 
 from .errors import NotInvertible, ShapeError, SpecViolation
 from .fields import FieldSpec
@@ -73,7 +74,6 @@ def compare(name: str, lhs: ExactMatrix, rhs: ExactMatrix) -> CheckItem:
             a = lhs.field.format(ra.get(j, lhs.field.zero))
             b = rhs.field.format(rb.get(j, rhs.field.zero))
             return CheckItem(name, False, f"first difference at ({i},{j}): {a} != {b}")
-    return CheckItem(name, True)
 
 
 # -- domain types -----------------------------------------------------------
@@ -81,15 +81,18 @@ def compare(name: str, lhs: ExactMatrix, rhs: ExactMatrix) -> CheckItem:
 
 @dataclass(frozen=True)
 class BraidedObject:
-    """A space of dimension ``dim`` with an invertible Yang-Baxter operator; ``c_inv`` is derived."""
+    """A space with an invertible Yang-Baxter operator ``c``; ``field``, ``dim``, ``c_inv`` are derived."""
 
-    field: FieldSpec
-    dim: int
     c: ExactMatrix
+    field: FieldSpec = dc_field(init=False, compare=False)
+    dim: int = dc_field(init=False, compare=False)
     c_inv: ExactMatrix = dc_field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        _shape_gate(self.c, self.dim, "braiding")
+        dim = isqrt(self.c.rows)
+        _shape_gate(self.c, dim)
+        object.__setattr__(self, "field", self.c.field)
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "c_inv", self.c.inverse())
 
     @cached_property
@@ -103,36 +106,33 @@ class BraidedObject:
 class AlgebraData:
     """An associative unital algebra: product ``m: A⊗A -> A`` and unit ``u: k -> A``."""
 
-    field: FieldSpec
-    dim: int
     m: ExactMatrix
     u: ExactMatrix
 
+    @property
+    def field(self) -> FieldSpec:
+        return self.m.field
+
+    @property
+    def dim(self) -> int:
+        return self.m.rows
+
 
 @dataclass(frozen=True)
-class BraidedAlgebra:
-    algebra: AlgebraData
+class BraidedAlgebra(AlgebraData):
     c: ExactMatrix
 
 
 @dataclass(frozen=True)
-class BialgebraData:
+class BialgebraData(AlgebraData):
     """A braided bialgebra: algebra, coalgebra and braiding on one space."""
 
-    field: FieldSpec
-    dim: int
-    m: ExactMatrix
-    u: ExactMatrix
     delta: ExactMatrix
     eps: ExactMatrix
     c: ExactMatrix
 
-    @property
-    def algebra(self) -> AlgebraData:
-        return AlgebraData(self.field, self.dim, self.m, self.u)
-
     def braided_object(self) -> BraidedObject:
-        return BraidedObject(self.field, self.dim, self.c)
+        return BraidedObject(self.c)
 
 
 @dataclass(frozen=True)
@@ -201,9 +201,9 @@ def braided_map(ff: ExactMatrix, c_source: ExactMatrix,
 # -- checkers ---------------------------------------------------------------
 
 
-def _shape_gate(c: ExactMatrix, dim: int, what: str) -> None:
+def _shape_gate(c: ExactMatrix, dim: int) -> None:
     if c.rows != dim * dim or c.cols != dim * dim:
-        raise ShapeError(f"{what} must be {dim * dim}x{dim * dim}, got {c.rows}x{c.cols}")
+        raise ShapeError(f"braiding must be {dim * dim}x{dim * dim}, got {c.rows}x{c.cols}")
 
 
 def check_yang_baxter(V: BraidedObject) -> AxiomReport:
@@ -237,9 +237,11 @@ def check_algebra(A: AlgebraData) -> AxiomReport:
     return report
 
 
-def check_coalgebra(field: FieldSpec, dim: int, delta: ExactMatrix, eps: ExactMatrix) -> AxiomReport:
+def check_coalgebra(delta: ExactMatrix, eps: ExactMatrix) -> AxiomReport:
+    """Coassociativity and the two counit laws on the space ``Δ`` starts from."""
     report = AxiomReport()
-    ident = ExactMatrix.identity(field, dim)
+    dim = delta.cols
+    ident = ExactMatrix.identity(delta.field, dim)
     report.add(compare("coassociative", whisker(1, delta, dim, delta), whisker(dim, delta, 1, delta)))
     report.add(compare("counit_left", whisker(1, eps, dim, delta), ident))
     report.add(compare("counit_right", whisker(dim, eps, 1, delta), ident))
@@ -248,7 +250,7 @@ def check_coalgebra(field: FieldSpec, dim: int, delta: ExactMatrix, eps: ExactMa
 
 def check_braided_algebra(A: AlgebraData, c: ExactMatrix) -> AxiomReport:
     """Compatibility of product and unit with the braiding."""
-    _shape_gate(c, A.dim, "braiding")
+    _shape_gate(c, A.dim)
     report = AxiomReport()
     names = ("product_braids_left", "product_braids_right", "unit_braids_left", "unit_braids_right")
     for name, (lhs, rhs) in zip(names, braids_past_product(c, A, A)):
@@ -256,10 +258,10 @@ def check_braided_algebra(A: AlgebraData, c: ExactMatrix) -> AxiomReport:
     return report
 
 
-def check_braided_coalgebra(dim: int, delta: ExactMatrix, eps: ExactMatrix,
-                            c: ExactMatrix) -> AxiomReport:
+def check_braided_coalgebra(delta: ExactMatrix, eps: ExactMatrix, c: ExactMatrix) -> AxiomReport:
     """Compatibility of coproduct and counit with the braiding."""
-    _shape_gate(c, dim, "braiding")
+    dim = delta.cols
+    _shape_gate(c, dim)
     report = AxiomReport()
     for name, pad in (("coproduct_braids_left", whisker), ("coproduct_braids_right", mirror)):
         report.add(compare(name, *coproduct_braids(pad, delta, c, c, c, dim, dim, dim)))
@@ -278,10 +280,10 @@ def check_braided_bialgebra(B: BialgebraData) -> AxiomReport:
         report.add(CheckItem("invertible_right", False, "braiding is singular"))
         return report
     report.extend(check_yang_baxter(V))
-    report.extend(check_algebra(B.algebra), prefix="algebra.")
-    report.extend(check_coalgebra(B.field, B.dim, B.delta, B.eps), prefix="coalgebra.")
-    report.extend(check_braided_algebra(B.algebra, B.c))
-    report.extend(check_braided_coalgebra(B.dim, B.delta, B.eps, B.c))
+    report.extend(check_algebra(B), prefix="algebra.")
+    report.extend(check_coalgebra(B.delta, B.eps), prefix="coalgebra.")
+    report.extend(check_braided_algebra(B, B.c))
+    report.extend(check_braided_coalgebra(B.delta, B.eps, B.c))
     one = ExactMatrix.identity(B.field, 1)
     report.add(compare(
         "coproduct_of_product",  # Δm = (m⊗m)(B⊗c⊗B)(Δ⊗Δ)
@@ -335,7 +337,7 @@ def product_algebra(spec: ProductAlgebraSpec) -> BraidedAlgebra:
     u = A1.u.kron(A2.u)
     c = whisker(d1, spec.c(1, 2), d2,
                 spec.c(1, 1).kron(spec.c(2, 2)) * whisker(d1, spec.c(2, 1), d2))
-    return BraidedAlgebra(AlgebraData(A1.field, d1 * d2, m, u), c)
+    return BraidedAlgebra(m, u, c)
 
 
 def double_braiding(A: AlgebraData, c: ExactMatrix) -> BraidedAlgebra:

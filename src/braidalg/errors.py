@@ -33,13 +33,5 @@ class NotAMorphism(BraidAlgError):
     """A map fails one of the structure-morphism conditions; the message names it."""
 
 
-class TruncationOverflow(BraidAlgError):
-    """A product would exceed the truncation degree."""
-
-
-class BadTruncation(BraidAlgError):
-    """Truncation degree below 1."""
-
-
 class BadDegree(BraidAlgError):
-    """Requested degree outside the stored range."""
+    """A degree outside its range, such as a truncation below 1 or a product above it."""

@@ -41,7 +41,7 @@ def diagonal_twist_braiding(field: FieldSpec, coeffs) -> BraidedObject:
     ``e_i ⊗ e_j`` to ``q_ij q_ji e_i ⊗ e_j``.  The flip, super and scalar
     braidings are such grids.
     """
-    return BraidedObject(field, len(coeffs), direct_power_braiding(field, coeffs, 1, 1))
+    return BraidedObject(direct_power_braiding(field, coeffs, 1, 1))
 
 
 def corrupted_flip(field: FieldSpec, dim: int = 2) -> BraidedObject:
@@ -54,7 +54,7 @@ def corrupted_flip(field: FieldSpec, dim: int = 2) -> BraidedObject:
     """
     grid = flip_braiding(field, dim).c.to_strings()
     grid[0][1] = "1"
-    return BraidedObject(field, dim, ExactMatrix(field, grid))
+    return BraidedObject(ExactMatrix(field, grid))
 
 
 def exterior_line(field: FieldSpec) -> BialgebraData:
@@ -68,7 +68,7 @@ def exterior_line(field: FieldSpec) -> BialgebraData:
     delta = ExactMatrix(field, [[1, 0], [0, 1], [0, 1], [0, 0]])
     eps = ExactMatrix(field, [[1, 0]])
     c = super_braiding(field, (0, 1)).c
-    return BialgebraData(field, 2, m, u, delta, eps, c)
+    return BialgebraData(m, u, delta, eps, c)
 
 
 def group_algebra_z2(field: FieldSpec) -> BialgebraData:
@@ -79,7 +79,7 @@ def group_algebra_z2(field: FieldSpec) -> BialgebraData:
     delta = ExactMatrix(field, [[1, 0], [0, 0], [0, 0], [0, 1]])
     eps = ExactMatrix(field, [[1, 1]])
     c = flip_braiding(field, 2).c
-    return BialgebraData(field, 2, m, u, delta, eps, c)
+    return BialgebraData(m, u, delta, eps, c)
 
 
 def all_gradings(dim: int):

@@ -58,7 +58,6 @@ class ExactMatrix:
                 raise ShapeError("column count required for a matrix with no rows")
             cols = len(entries[0])
         element = field.element
-        parsed = {}  # cell string -> scalar: each distinct string is parsed once
         out = []
         for r in entries:
             if len(r) != cols:
@@ -66,15 +65,8 @@ class ExactMatrix:
             row = {}
             for j, x in enumerate(r):
                 # the string "0" is element("0") over every field
-                if x != "0":
-                    if type(x) is str:
-                        y = parsed.get(x)
-                        if y is None:
-                            y = parsed[x] = element(x)
-                    else:
-                        y = element(x)
-                    if y:
-                        row[j] = y
+                if x != "0" and (y := element(x)):
+                    row[j] = y
             out.append(row)
         if len(out) != rows:
             raise ShapeError("row count mismatch")

@@ -52,7 +52,7 @@ class PrimitiveSpace:
         return self.inclusion.cols
 
     def braided_object(self) -> BraidedObject:
-        return BraidedObject(self.inclusion.field, self.dim, self.braiding)
+        return BraidedObject(self.braiding)
 
 
 def equalizer_matrix(B: BialgebraData) -> ExactMatrix:

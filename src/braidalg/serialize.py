@@ -62,7 +62,7 @@ def braiding_from_json(obj: dict) -> BraidedObject:
     field = field_from_json(_require(obj, "field"))
     dim = _dim_from_json(obj)
     c = matrix_from_json(field, _require(obj, "c"), "c", rows=dim * dim, cols=dim * dim)
-    return BraidedObject(field, dim, c)
+    return BraidedObject(c)
 
 
 def bialgebra_to_json(B: BialgebraData) -> dict:
@@ -81,8 +81,6 @@ def bialgebra_from_json(obj: dict) -> BialgebraData:
     field = field_from_json(_require(obj, "field"))
     d = _dim_from_json(obj)
     return BialgebraData(
-        field,
-        d,
         m=matrix_from_json(field, _require(obj, "m"), "m", rows=d, cols=d * d),
         u=matrix_from_json(field, _require(obj, "u"), "u", rows=d, cols=1),
         delta=matrix_from_json(field, _require(obj, "delta"), "delta", rows=d * d, cols=d),

@@ -28,7 +28,7 @@ from functools import cached_property, reduce
 
 from .braided import AxiomReport, BraidedObject, compare, coproduct_braids, hexagon, mirror
 from .braidrep import BraidRepCache
-from .errors import BadDegree, BadTruncation, TruncationOverflow
+from .errors import BadDegree
 from .matrix import ExactMatrix, whisker, whisker_chain
 
 
@@ -137,7 +137,7 @@ class TruncatedTensorBialgebra:
         if a < 0 or b < 0:
             raise BadDegree(f"degrees must be non-negative, got ({a},{b})")
         if a + b > self.N:
-            raise TruncationOverflow(f"degree {a}+{b} exceeds truncation {self.N}")
+            raise BadDegree(f"degree {a}+{b} exceeds truncation {self.N}")
         if w1.rows != self.component_dim(a) or w2.rows != self.component_dim(b):
             raise BadDegree("vector length does not match its declared degree")
         return w1.kron(w2)
@@ -147,7 +147,7 @@ def build_truncated(V: BraidedObject, N: int) -> TruncatedTensorBialgebra:
     """The truncated tensor bialgebra up to total degree ``N``, holding the
     degree-0 coproduct block; ``coproduct_block`` builds the others."""
     if N < 1:
-        raise BadTruncation(f"truncation degree must be >= 1, got {N}")
+        raise BadDegree(f"truncation degree must be >= 1, got {N}")
     return TruncatedTensorBialgebra(V, N, BraidRepCache(V), {(0, 0): ExactMatrix.identity(V.field, 1)})
 
 

@@ -99,7 +99,7 @@ def _squares(F: FunctorData, dim: int) -> tuple[ExactMatrix, ExactMatrix]:
 def transport_braided_object(F: FunctorData, V: BraidedObject) -> BraidedObject:
     """``c -> (g⊗g) c (g⊗g)^{-1}``."""
     gg, gg_inv = _squares(F, V.dim)
-    return BraidedObject(V.field, V.dim, gg * V.c * gg_inv)
+    return BraidedObject(gg * V.c * gg_inv)
 
 
 def transport_bialgebra(F: FunctorData, B: BialgebraData) -> BialgebraData:
@@ -110,7 +110,6 @@ def transport_bialgebra(F: FunctorData, B: BialgebraData) -> BialgebraData:
     gg, gg_inv = _squares(F, B.dim)
     lam, lam_inv = F.scale, B.field.inv(F.scale)
     return BialgebraData(
-        B.field, B.dim,
         m=(F.g * B.m * gg_inv).scale(lam),
         u=(F.g * B.u).scale(lam_inv),
         delta=(gg * B.delta * F.g_inv).scale(lam_inv),
@@ -246,11 +245,10 @@ def check_J_compatibility(field: FieldSpec, q, N: int) -> AxiomReport:
       kernels of the full stacks of interior unshuffle blocks: a different
       elimination route, since the former stacks fewer rows.
     """
-    dim = len(q)
-    V = BraidedObject(field, dim, direct_power_braiding(field, q, 1, 1))
+    V = BraidedObject(direct_power_braiding(field, q, 1, 1))
     sq = V.c * V.c
     report = AxiomReport()
-    report.add(compare("symmetry", sq, ExactMatrix.identity(field, dim * dim)))
+    report.add(compare("symmetry", sq, ExactMatrix.identity(field, V.dim * V.dim)))
     if not report.passed:
         return report
     T = build_truncated(V, N)
@@ -268,6 +266,6 @@ def check_J_compatibility(field: FieldSpec, q, N: int) -> AxiomReport:
     for n in range(1, N + 1):
         blocks = classical[n]
         braided_xi = primitives_of_tensor(T, n)
-        plain_xi = stack_rows(blocks[1:n], field, dim ** n).nullspace()
+        plain_xi = stack_rows(blocks[1:n], field, V.dim ** n).nullspace()
         report.add(compare(f"primitive_inclusion[{n}]", braided_xi, plain_xi))
     return report

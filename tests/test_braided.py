@@ -17,8 +17,10 @@ from braidalg import (
     check_braided_bialgebra,
     check_braided_coalgebra,
     check_braided_morphism,
+    check_coalgebra,
     check_yang_baxter,
     double_braiding,
+    iterated_products,
     prime_field,
     product_algebra,
 )
@@ -32,6 +34,7 @@ from braidalg.gallery import (
     scalar_braiding,
     super_braiding,
 )
+from braidalg.serialize import bialgebra_to_json
 
 from oracles import exterior_square_table, qybe_brute
 
@@ -69,12 +72,16 @@ class TestYangBaxter:
 
     def test_inverse_braiding_also_passes(self):
         for name, V in braiding_gallery():
-            assert check_yang_baxter(BraidedObject(V.field, V.dim, V.c_inv)).passed, name
+            assert check_yang_baxter(BraidedObject(V.c_inv)).passed, name
 
     def test_shape_gate(self):
-        # a braiding of the wrong shape is refused when the object is made
-        with pytest.raises(ShapeError):
-            BraidedObject(RATIONALS, 2, ExactMatrix.identity(RATIONALS, 3))
+        # a braiding that is not d^2 x d^2 for some d is refused when the object is made
+        with pytest.raises(ShapeError, match="got 3x3"):
+            BraidedObject(ExactMatrix.identity(RATIONALS, 3))
+        with pytest.raises(ShapeError, match="got 5x5"):
+            BraidedObject(ExactMatrix.identity(RATIONALS, 5))
+        with pytest.raises(ShapeError, match="got 4x9"):
+            BraidedObject(ExactMatrix.zeros(RATIONALS, 4, 9))
 
 
 class TestBraidedMorphism:
@@ -106,50 +113,77 @@ class TestBraidedMorphism:
 class TestBraidedAlgebra:
     def test_group_algebra_with_flip(self):
         B = group_algebra_z2(RATIONALS)
-        assert check_algebra(B.algebra).passed
-        assert check_braided_algebra(B.algebra, B.c).passed
+        assert check_algebra(B).passed
+        assert check_braided_algebra(B, B.c).passed
 
     def test_exterior_line_with_super(self):
         B = exterior_line(RATIONALS)
-        assert check_braided_algebra(B.algebra, B.c).passed
+        assert check_braided_algebra(B, B.c).passed
 
     def test_any_algebra_with_flip_is_braided(self):
         # the flip is natural, so the compatibility squares hold for every
         # algebra; the exterior line with flip only breaks later, at the
         # bialgebra exchange law (see the bialgebra tests)
         B = exterior_line(RATIONALS)
-        assert check_braided_algebra(B.algebra, flip_braiding(RATIONALS, 2).c).passed
+        assert check_braided_algebra(B, flip_braiding(RATIONALS, 2).c).passed
 
     def test_scalar_braiding_on_unit_algebra_needs_q_one(self):
         one = ExactMatrix.identity(RATIONALS, 1)
-        A = AlgebraData(RATIONALS, 1, one, one)
+        A = AlgebraData(one, one)
         assert check_braided_algebra(A, scalar_braiding(RATIONALS, 1).c).passed
         rep = check_braided_algebra(A, scalar_braiding(RATIONALS, 2).c)
         assert not rep.passed  # both compatibility routes force q = q^2
 
+    @pytest.mark.parametrize("field", [RATIONALS, F5], ids=["Q", "F5"])
+    @pytest.mark.parametrize("make", [exterior_line, group_algebra_z2])
+    def test_bialgebra_is_an_algebra(self, make, field):
+        # a bialgebra is passed wherever an algebra is read, and reads as its (m, u)
+        B = make(field)
+        A = AlgebraData(B.m, B.u)
+        assert check_algebra(B) == check_algebra(A)
+        assert iterated_products(B, 4) == iterated_products(A, 4)
+
 
 class TestBraidedCoalgebra:
+    def test_space_is_read_from_the_coproduct(self):
+        B = exterior_line(RATIONALS)
+        assert check_coalgebra(B.delta, B.eps).passed
+        # a coproduct on a 2-dimensional space must have 4 rows
+        delta = ExactMatrix(RATIONALS, [[1, 0], [0, 1], [0, 1]])
+        with pytest.raises(ShapeError):
+            check_coalgebra(delta, B.eps)
+
     def test_trivial_coalgebra(self):
         one = ExactMatrix.identity(RATIONALS, 1)
-        rep = check_braided_coalgebra(1, one, one, scalar_braiding(RATIONALS, 1).c)
+        rep = check_braided_coalgebra(one, one, scalar_braiding(RATIONALS, 1).c)
         assert rep.passed
         # the counit law composed with the braiding forces q = 1 on a line
-        rep = check_braided_coalgebra(1, one, one, scalar_braiding(RATIONALS, 2).c)
+        rep = check_braided_coalgebra(one, one, scalar_braiding(RATIONALS, 2).c)
         assert not rep.passed
 
     def test_exterior_line(self):
         B = exterior_line(RATIONALS)
-        assert check_braided_coalgebra(B.dim, B.delta, B.eps, B.c).passed
+        assert check_braided_coalgebra(B.delta, B.eps, B.c).passed
 
     def test_any_coalgebra_with_flip_is_braided(self):
         # naturality of the flip again; breaking happens only at the
         # bialgebra exchange law
         B = exterior_line(RATIONALS)
-        rep = check_braided_coalgebra(B.dim, B.delta, B.eps, flip_braiding(RATIONALS, 2).c)
+        rep = check_braided_coalgebra(B.delta, B.eps, flip_braiding(RATIONALS, 2).c)
         assert rep.passed
 
 
 class TestBraidedBialgebra:
+    @pytest.mark.parametrize("field", [RATIONALS, F5], ids=["Q", "F5"])
+    def test_field_is_the_maps_field(self, field):
+        # no label to disagree with the maps: the field and dimension are read off them
+        E = exterior_line(field)
+        B = BialgebraData(E.m, E.u, E.delta, E.eps, E.c)
+        assert (B.field, B.dim) == (field, 2)
+        assert (B.braided_object().field, B.braided_object().dim) == (field, 2)
+        assert bialgebra_to_json(B)["field"] == ({"kind": "rationals"} if field is RATIONALS
+                                                 else {"kind": "prime", "p": 5})
+
     def test_exterior_line_super(self):
         for field in (RATIONALS, F5):
             assert check_braided_bialgebra(exterior_line(field)).passed
@@ -159,7 +193,7 @@ class TestBraidedBialgebra:
 
     def test_exterior_line_with_flip_fails_product_coproduct_exchange(self):
         B = exterior_line(RATIONALS)
-        wrong = BialgebraData(B.field, B.dim, B.m, B.u, B.delta, B.eps,
+        wrong = BialgebraData(B.m, B.u, B.delta, B.eps,
                               flip_braiding(RATIONALS, 2).c)
         rep = check_braided_bialgebra(wrong)
         names = {item.name for item in rep.failures()}
@@ -180,7 +214,7 @@ class TestBraidedBialgebra:
 
 def trivial_algebra(field):
     one = ExactMatrix.identity(field, 1)
-    return AlgebraData(field, 1, one, one)
+    return AlgebraData(one, one)
 
 
 class TestProductAlgebra:
@@ -189,24 +223,24 @@ class TestProductAlgebra:
         one = ExactMatrix.identity(RATIONALS, 1)
         spec = ProductAlgebraSpec(A, A, {(i, j): one for i in (1, 2) for j in (1, 2)})
         out = product_algebra(spec)
-        assert out.algebra.dim == 1
-        assert check_braided_algebra(out.algebra, out.c).passed
+        assert out.dim == 1
+        assert check_braided_algebra(out, out.c).passed
 
     def test_exterior_line_square_against_table(self):
         B = exterior_line(RATIONALS)
-        spec = ProductAlgebraSpec(B.algebra, B.algebra,
+        spec = ProductAlgebraSpec(B, B,
                                   {(i, j): B.c for i in (1, 2) for j in (1, 2)})
         out = product_algebra(spec)
-        assert out.algebra.dim == 4
-        assert check_algebra(out.algebra).passed
-        assert check_braided_algebra(out.algebra, out.c).passed
+        assert out.dim == 4
+        assert check_algebra(out).passed
+        assert check_braided_algebra(out, out.c).passed
         expected = ExactMatrix(RATIONALS, exterior_square_table(-1))
-        assert out.algebra.m == expected
+        assert out.m == expected
 
     def test_gate_names_failed_equation(self):
         B = exterior_line(RATIONALS)
         ident4 = ExactMatrix.identity(RATIONALS, 4)
-        spec = ProductAlgebraSpec(B.algebra, B.algebra,
+        spec = ProductAlgebraSpec(B, B,
                                   {(i, j): ident4 for i in (1, 2) for j in (1, 2)})
         with pytest.raises(SpecViolation, match="c21"):
             product_algebra(spec)
@@ -238,7 +272,7 @@ class TestProductAlgebra:
                             if coeff != 0:
                                 i, j = divmod(row, d)
                                 c[(i + 1) * n + (j + 1)][col] = coeff
-            return (AlgebraData(f, n, ExactMatrix(f, m), ExactMatrix(f, u)),
+            return (AlgebraData(ExactMatrix(f, m), ExactMatrix(f, u)),
                     ExactMatrix(f, c))
 
         for V in (flip_braiding(RATIONALS, 2), super_braiding(RATIONALS, (0, 1))):
@@ -246,8 +280,8 @@ class TestProductAlgebra:
             assert check_braided_algebra(A, c).passed
             spec = ProductAlgebraSpec(A, A, {(i, j): c for i in (1, 2) for j in (1, 2)})
             out = product_algebra(spec)
-            assert check_algebra(out.algebra).passed
-            assert check_braided_algebra(out.algebra, out.c).passed
+            assert check_algebra(out).passed
+            assert check_braided_algebra(out, out.c).passed
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -266,19 +300,19 @@ class TestProductAlgebra:
                 continue
         gg = g.kron(g)
         gg_inv = g_inv.kron(g_inv)
-        A = AlgebraData(F5, 2, g * B.m * gg_inv, g * B.u)
+        A = AlgebraData(g * B.m * gg_inv, g * B.u)
         c = gg * B.c * gg_inv
         spec = ProductAlgebraSpec(A, A, {(i, j): c for i in (1, 2) for j in (1, 2)})
         out = product_algebra(spec)
-        assert check_algebra(out.algebra).passed
-        assert check_braided_algebra(out.algebra, out.c).passed
+        assert check_algebra(out).passed
+        assert check_braided_algebra(out, out.c).passed
 
 
 class TestDoubleBraiding:
     def test_trivial(self):
         A = trivial_algebra(RATIONALS)
         out = double_braiding(A, ExactMatrix.identity(RATIONALS, 1))
-        assert out.algebra.dim == 1
+        assert out.dim == 1
         assert out.c == ExactMatrix.identity(RATIONALS, 1)
 
     def test_scalar_fourth_power_formula(self):
@@ -290,10 +324,10 @@ class TestDoubleBraiding:
 
     def test_exterior_line(self):
         B = exterior_line(RATIONALS)
-        out = double_braiding(B.algebra, B.c)
-        assert out.algebra.dim == 4
-        assert check_braided_algebra(out.algebra, out.c).passed
-        V = BraidedObject(RATIONALS, 4, out.c)
+        out = double_braiding(B, B.c)
+        assert out.dim == 4
+        assert check_braided_algebra(out, out.c).passed
+        V = BraidedObject(out.c)
         assert check_yang_baxter(V).passed
 
     def test_gate(self):
@@ -307,6 +341,6 @@ class TestDoubleBraiding:
         # BraidRepCache builds it by its own recursion
         for field in (RATIONALS, F5):
             for B in (exterior_line(field), group_algebra_z2(field)):
-                out = double_braiding(B.algebra, B.c)
+                out = double_braiding(B, B.c)
                 assert out.c == BraidRepCache(B.braided_object()).block(2, 2)
-                assert check_yang_baxter(BraidedObject(field, 4, out.c)).passed
+                assert check_yang_baxter(BraidedObject(out.c)).passed

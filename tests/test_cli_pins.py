@@ -38,7 +38,7 @@ def exterior_with_square_one(field):
     a braided bialgebra, and x is still primitive for its coproduct."""
     B = exterior_line(field)
     m = ExactMatrix(field, [[1, 0, 0, 1], [0, 1, 1, 0]])
-    return BialgebraData(field, B.dim, m, B.u, B.delta, B.eps, B.c)
+    return BialgebraData(m, B.u, B.delta, B.eps, B.c)
 
 
 def build_dump(V, degree):

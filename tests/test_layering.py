@@ -32,6 +32,12 @@ unshuffle sums.  The comparison means something only while neither closed
 form is built from what it is compared with, so a sixth guard rejects any
 read of the tensor bialgebra, the exchange-block cache or the padding
 kernels in either oracle, or in a function of ``transport.py`` they call.
+
+A structure is its maps: the field and the dimension of a braided object,
+an algebra or a bialgebra are read off its matrices, so that no label can
+disagree with them.  A seventh guard rejects any dataclass that takes a
+``field`` or a ``dim`` as an ``__init__`` argument; a derived one is an
+``init=False`` field or a property.
 """
 
 import ast
@@ -218,3 +224,34 @@ def test_guard_sees_the_recursion_read():
     assert names_reached(source, "direct") & RECURSION == {"coproduct_block"}
     assert names_reached(source, "indirect") & RECURSION == {"whisker"}
     assert names_reached(source, "clean") & RECURSION == set()
+
+
+def derived_init_arguments(source: str) -> list[str]:
+    """``Class.name`` for each field named ``field`` or ``dim`` of a dataclass
+    in ``source`` that ``__init__`` takes, one not declared ``init=False``."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef) or not any(
+                ast.unparse(d.func if isinstance(d, ast.Call) else d).endswith("dataclass")
+                for d in node.decorator_list):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) in ("field", "dim"):
+                keywords = stmt.value.keywords if isinstance(stmt.value, ast.Call) else []
+                if not any(k.arg == "init" and getattr(k.value, "value", True) is False for k in keywords):
+                    out.append(f"{node.name}.{stmt.target.id}")
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_structure_takes_its_field_or_dim(path):
+    assert derived_init_arguments(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_field_argument():
+    source = ("@dataclass(frozen=True)\nclass A:\n    field: object\n    c: object\n\n"
+              "@dataclass\nclass B:\n    c: object\n    dim: int = dc_field(init=False)\n\n"
+              "    @property\n    def field(self):\n        return self.c.field\n\n"
+              "class C:\n    dim: int\n\n"
+              "@dataclasses.dataclass\nclass D(B):\n    dim: int = dc_field(init=True, default=2)\n")
+    assert derived_init_arguments(source) == ["A.field", "D.dim"]

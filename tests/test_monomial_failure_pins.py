@@ -36,7 +36,7 @@ Z2 = group_algebra_z2(Q)
 def swap(a, b):
     """``e0⊗e0 -> b·e0⊗e1``, ``e0⊗e1 -> a·e0⊗e0``; the other two fixed."""
     c = ExactMatrix(Q, [[0, a, 0, 0], [b, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    return BraidedObject(Q, 2, c)
+    return BraidedObject(c)
 
 
 SWAP = swap(1, 1)
@@ -119,13 +119,13 @@ def test_hexagon(V):
 
 
 def test_braided_coalgebra():
-    assert items(check_braided_coalgebra(2, Z2.delta, Z2.eps, SWAP.c)) == [
+    assert items(check_braided_coalgebra(Z2.delta, Z2.eps, SWAP.c)) == [
         ("coproduct_braids_left", False, "first difference at (1,0): 1 != 0"),
         ("coproduct_braids_right", False, "first difference at (0,1): 1 != 0"),
         ("counit_braids_left", False, "first difference at (0,0): 0 != 1"),
         ("counit_braids_right", False, "first difference at (0,1): 1 != 0"),
     ]
-    assert items(check_braided_coalgebra(2, Z2.delta, Z2.eps, SCALED.c)) == [
+    assert items(check_braided_coalgebra(Z2.delta, Z2.eps, SCALED.c)) == [
         ("coproduct_braids_left", False, "first difference at (0,1): 2 != 4"),
         ("coproduct_braids_right", False, "first difference at (0,1): 2 != 0"),
         ("counit_braids_left", False, "first difference at (0,0): 0 != 1"),
@@ -134,13 +134,13 @@ def test_braided_coalgebra():
 
 
 def test_braided_algebra():
-    assert items(check_braided_algebra(Z2.algebra, SWAP.c)) == [
+    assert items(check_braided_algebra(Z2, SWAP.c)) == [
         ("product_braids_left", False, "first difference at (0,0): 0 != 1"),
         ("product_braids_right", False, "first difference at (0,1): 1 != 0"),
         ("unit_braids_left", False, "first difference at (0,0): 0 != 1"),
         ("unit_braids_right", False, "first difference at (0,0): 0 != 1"),
     ]
-    assert items(check_braided_algebra(Z2.algebra, SCALED.c)) == [
+    assert items(check_braided_algebra(Z2, SCALED.c)) == [
         ("product_braids_left", False, "first difference at (0,0): 0 != 1/4"),
         ("product_braids_right", False, "first difference at (0,1): 2 != 0"),
         ("unit_braids_left", False, "first difference at (0,0): 0 != 1"),

@@ -46,7 +46,7 @@ def conjugate(V, seed):
     gg = g.kron(g)
     dense = gg * V.c * gg.inverse()
     assert sum(len(row) for row in dense.nonzeros) > dense.rows
-    return BraidedObject(V.field, V.dim, dense)
+    return BraidedObject(dense)
 
 
 # name -> (braided object, truncation degree); the flip has no dense

@@ -86,7 +86,7 @@ def dense_braiding(field, d, seed):
         gg = g.kron(g)
         dense = gg * c * gg.inverse()
         if sum(len(row) for row in dense.nonzeros) > dense.rows:
-            return BraidedObject(field, d, dense)
+            return BraidedObject(dense)
 
 
 GALLERY = {
@@ -138,7 +138,7 @@ def test_thinning_needs_yang_baxter():
     differs = 0
     for _ in range(6):
         c = random_invertible(F5, 4, rng)
-        V = BraidedObject(F5, 2, c)
+        V = BraidedObject(c)
         assert not check_yang_baxter(V).passed
         T = build_truncated(V, 4)
         for n in range(1, 5):

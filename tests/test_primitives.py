@@ -32,7 +32,7 @@ F5 = prime_field(5)
 
 def trivial_bialgebra(field):
     one = ExactMatrix.identity(field, 1)
-    return BialgebraData(field, 1, one, one, one, one, one)
+    return BialgebraData(one, one, one, one, one)
 
 
 class TestFiniteDimensional:
@@ -56,7 +56,7 @@ class TestFiniteDimensional:
 
     def test_gate_rejects_non_bialgebra(self):
         B = exterior_line(RATIONALS)
-        wrong = BialgebraData(B.field, B.dim, B.m, B.u, B.delta, B.eps,
+        wrong = BialgebraData(B.m, B.u, B.delta, B.eps,
                               flip_braiding(RATIONALS, 2).c)
         with pytest.raises(SpecViolation):
             primitives(wrong)
@@ -66,7 +66,7 @@ class TestFiniteDimensional:
         B = exterior_line(RATIONALS)
         c = ExactMatrix(RATIONALS, [[1, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, -1]])
         with pytest.raises(NotClosedUnderBraiding):
-            primitives(BialgebraData(B.field, B.dim, B.m, B.u, B.delta, B.eps, c), check=False)
+            primitives(BialgebraData(B.m, B.u, B.delta, B.eps, c), check=False)
 
     def test_restricted_braiding_is_yang_baxter(self):
         space = primitives(exterior_line(F5))
@@ -173,7 +173,7 @@ class TestGradedBraiding:
             if basis.cols == 0:
                 continue
             c = tensor_primitive_braiding(T, n, n)
-            assert check_yang_baxter(BraidedObject(RATIONALS, basis.cols, c)).passed
+            assert check_yang_baxter(BraidedObject(c)).passed
 
     def test_flip_restriction_is_the_flip_of_the_subspaces(self):
         # the plain swap is natural, so through any inclusions it restricts

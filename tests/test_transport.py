@@ -146,7 +146,7 @@ class TestBialgebraTransport:
     def test_axiom_verdict_preserved(self):
         # transporting a non-bialgebra fails the same way the source does
         B = exterior_line(RATIONALS)
-        wrong = BialgebraData(B.field, B.dim, B.m, B.u, B.delta, B.eps,
+        wrong = BialgebraData(B.m, B.u, B.delta, B.eps,
                               flip_braiding(RATIONALS, 2).c)
         F = basis_change(ExactMatrix(RATIONALS, [[1, 1], [0, 1]]))
         moved = transport_bialgebra(F, wrong)
@@ -314,7 +314,7 @@ def dense_grid_braiding(field, grid):
     for i in range(d):
         for j in range(d):
             rows[j * d + i][i * d + j] = grid[i][j]
-    return BraidedObject(field, d, ExactMatrix(field, rows))
+    return BraidedObject(ExactMatrix(field, rows))
 
 
 @pytest.mark.parametrize("name", sorted(GRIDS))
