@@ -8,8 +8,8 @@ identities here, checked degree by degree.
 
 from braidalg import (
     RATIONALS,
+    AdjunctionWitness,
     ExactMatrix,
-    build_adjunction_witness,
     build_truncated,
     check_triangles_T_Omega,
     check_triangles_Tbar_P,
@@ -36,18 +36,18 @@ print("free/forgetful triangles at truncation 4:",
 # The counit of the tensor-bialgebra/primitives adjunction extends the
 # primitive inclusion as an algebra map; it must also be a coalgebra map.
 # Its blocks, P(B) and T(P(B)) are built once, in one witness.
-w = build_adjunction_witness(B, 4)
+w = AdjunctionWitness(B, 4)
 rep = check_zeta_coalgebra(w)
 print("counit extension is a coalgebra map (exterior line):", rep.passed)
 print("  same for the group algebra, vacuously (no primitives):",
-      check_zeta_coalgebra(build_adjunction_witness(group_algebra_z2(RATIONALS), 4)).passed)
+      check_zeta_coalgebra(AdjunctionWitness(group_algebra_z2(RATIONALS), 4)).passed)
 
 # Only the bialgebra side of the triangle can fail: on the free side the
 # unit into the degree-1 primitives is the identity.
 print("tensor/primitives triangles:", check_triangles_Tbar_P(w))
 # The label below is kept as printed before; no braiding enters this check.
 print("  over F_5 with q = 2:",
-      check_triangles_Tbar_P(build_adjunction_witness(exterior_line(prime_field(5)), 4)))
+      check_triangles_Tbar_P(AdjunctionWitness(exterior_line(prime_field(5)), 4)))
 
 # The units and the counit blocks; the unit into the primitives is the
 # degree-1 inclusion ξ_1.

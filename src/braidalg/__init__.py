@@ -9,7 +9,6 @@ structure transport along monoidal functors.
 
 from .adjunctions import (
     AdjunctionWitness,
-    build_adjunction_witness,
     check_triangles_T_Omega,
     check_triangles_Tbar_P,
     check_zeta_coalgebra,

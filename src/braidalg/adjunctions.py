@@ -10,7 +10,7 @@ degree-``n`` block is the ``n``-fold product, and the triangle check is
 the multiplicativity of those blocks.
 
 The counit side of T̄ ⊣ P on a bialgebra ``B`` is built once, by
-``build_adjunction_witness``: the primitives ``P(B)``, the truncated tensor
+``AdjunctionWitness(B, N)``: the primitives ``P(B)``, the truncated tensor
 bialgebra ``T(P(B))`` and the blocks ``ζ_n`` of the counit.  Every check of
 that adjunction reads the witness.  Parts of the triangles that hold by
 construction are not checked: the unit of either adjunction is an identity
@@ -20,7 +20,7 @@ under the Kronecker identification.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import reduce
 
 from .braided import AlgebraData, AxiomReport, BialgebraData, compare
@@ -67,23 +67,20 @@ def primitive_counit_blocks(products: list[ExactMatrix],
 
 @dataclass(frozen=True)
 class AdjunctionWitness:
-    """The counit side of T̄ ⊣ P on one bialgebra, truncated at degree ``N``."""
+    """The counit side of T̄ ⊣ P on one bialgebra, truncated at degree ``N >= 1``."""
 
     bialgebra: BialgebraData
-    space: PrimitiveSpace             # P(B), with its inclusion into B
-    tensor: TruncatedTensorBialgebra  # T(P(B)) up to degree N
-    zeta_blocks: list[ExactMatrix]    # ζ_n: P(B)^{⊗n} -> B for n = 0..N
+    N: int
+    space: PrimitiveSpace = dc_field(init=False, compare=False)             # P(B), included in B
+    tensor: TruncatedTensorBialgebra = dc_field(init=False, compare=False)  # T(P(B)) up to degree N
+    zeta_blocks: list[ExactMatrix] = dc_field(init=False, compare=False)    # ζ_n for n = 0..N
 
-
-def build_adjunction_witness(B: BialgebraData, N: int) -> AdjunctionWitness:
-    """``P(B)``, ``T(P(B))`` and ``ζ_0..ζ_N``, built once; ``N >= 1``."""
-    space = primitives(B, check=False)
-    return AdjunctionWitness(
-        bialgebra=B,
-        space=space,
-        tensor=build_truncated(space.braided_object(), N),
-        zeta_blocks=primitive_counit_blocks(iterated_products(B, N), space.inclusion),
-    )
+    def __post_init__(self) -> None:
+        space = primitives(self.bialgebra, check=False)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "tensor", build_truncated(space.braided_object(), self.N))
+        products = iterated_products(self.bialgebra, self.N)
+        object.__setattr__(self, "zeta_blocks", primitive_counit_blocks(products, space.inclusion))
 
 
 def check_zeta_coalgebra(w: AdjunctionWitness) -> AxiomReport:
@@ -114,7 +111,7 @@ def check_triangles_Tbar_P(w: AdjunctionWitness) -> bool:
     construction: degree-1 elements are primitive, and the unit into the
     degree-1 primitives is the identity.
     """
-    for n in range(2, w.tensor.N + 1):
+    for n in range(2, w.N + 1):
         try:
             w.space.inclusion.solve(w.zeta_blocks[n] * primitives_of_tensor(w.tensor, n))
         except LinearSolveError:

@@ -8,17 +8,18 @@ violating entry.
 
 Each braided law is stated once, as a function returning the two sides of
 its equation: ``hexagon``, ``braids_past_product``, ``coproduct_braids`` and
-``braided_map``.  The checkers here and in ``braidrep``, ``tensoralg``,
-``primitives`` and ``transport`` call them rather than restate a law.
+``braided_map``.  A checker here or in ``braidrep``, ``tensoralg``,
+``primitives`` or ``transport`` that tests one calls it; the product, unit
+and counit families of ``tensoralg`` are blockwise identities of their own.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from functools import cached_property
 from math import isqrt
 
-from .errors import NotInvertible, ShapeError, SpecViolation
+from .errors import FieldMismatch, NotInvertible, ShapeError, SpecViolation
 from .fields import FieldSpec
 from .matrix import ExactMatrix, whisker, whisker_chain
 
@@ -104,10 +105,25 @@ class BraidedObject:
 
 @dataclass(frozen=True)
 class AlgebraData:
-    """An associative unital algebra: product ``m: A⊗A -> A`` and unit ``u: k -> A``."""
+    """An associative unital algebra: product ``m: A⊗A -> A`` and unit ``u: k -> A``.
+
+    Each map, the subclasses' too, is refused when the structure is made if
+    it is over another field than ``m`` (``FieldMismatch``) or has the wrong
+    shape for ``d = m.rows`` (a ``ShapeError`` naming the map)."""
 
     m: ExactMatrix
     u: ExactMatrix
+
+    def __post_init__(self) -> None:
+        d, dd = self.dim, self.dim ** 2
+        shapes = {"m": (d, dd), "u": (d, 1), "delta": (dd, d), "eps": (1, d), "c": (dd, dd)}
+        for f in dc_fields(self):
+            x, (rows, cols) = getattr(self, f.name), shapes[f.name]
+            if x.field != self.field:
+                raise FieldMismatch(f"{f.name} is over {x.field}, m over {self.field}")
+            if (x.rows, x.cols) != (rows, cols):
+                raise ShapeError(f"{f.name} must be {rows}x{cols} on dimension {d}, "
+                                 f"got {x.rows}x{x.cols}")
 
     @property
     def field(self) -> FieldSpec:

@@ -18,7 +18,7 @@ import sys
 
 from . import __version__
 from .adjunctions import (
-    build_adjunction_witness,
+    AdjunctionWitness,
     check_triangles_T_Omega,
     check_triangles_Tbar_P,
     check_zeta_coalgebra,
@@ -379,7 +379,7 @@ def cmd_adjunction_check(args) -> tuple[dict, bool]:
     _require_size(max(V.dim, B.dim), args.degree)
     rep = check_braided_bialgebra(B)
     if rep.passed:
-        w = build_adjunction_witness(B, args.degree)
+        w = AdjunctionWitness(B, args.degree)
         rep = AxiomReport()
         rep.add(CheckItem("free_forgetful_triangles", check_triangles_T_Omega(B, args.degree)))
         rep.extend(check_zeta_coalgebra(w))

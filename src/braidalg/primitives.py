@@ -25,7 +25,7 @@ they agree byte for byte and mix degree by degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .braided import BialgebraData, BraidedObject, braided_map, check_braided_bialgebra
 from .errors import (
@@ -42,10 +42,16 @@ from .tensoralg import TruncatedTensorBialgebra
 
 @dataclass(frozen=True)
 class PrimitiveSpace:
-    """Primitive subspace with its inclusion and the restricted braiding."""
+    """The primitive subspace of ``bialgebra``, its inclusion and the restricted braiding."""
 
-    inclusion: ExactMatrix  # B.dim x dim, columns = canonical basis
-    braiding: ExactMatrix   # dim^2 x dim^2
+    bialgebra: BialgebraData
+    inclusion: ExactMatrix = dc_field(init=False, compare=False)  # B.dim x dim, columns = canonical basis
+    braiding: ExactMatrix = dc_field(init=False, compare=False)   # dim^2 x dim^2
+
+    def __post_init__(self) -> None:
+        xi = equalizer_matrix(self.bialgebra).nullspace()
+        object.__setattr__(self, "inclusion", xi)
+        object.__setattr__(self, "braiding", restrict_braiding(self.bialgebra.c, xi, xi))
 
     @property
     def dim(self) -> int:
@@ -85,8 +91,7 @@ def primitives(B: BialgebraData, check: bool = True) -> PrimitiveSpace:
         gate = check_braided_bialgebra(B)
         if not gate.passed:
             raise SpecViolation(f"not a braided bialgebra: {gate.failures()[0].name}")
-    xi = equalizer_matrix(B).nullspace()
-    return PrimitiveSpace(xi, restrict_braiding(B.c, xi, xi))
+    return PrimitiveSpace(B)
 
 
 def check_bialgebra_morphism(f: ExactMatrix, B: BialgebraData, B2: BialgebraData) -> None:

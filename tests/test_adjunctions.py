@@ -1,14 +1,12 @@
-from dataclasses import replace
-
 import pytest
 
 from braidalg import (
     RATIONALS,
+    AdjunctionWitness,
     AlgebraData,
     BadDegree,
     BialgebraData,
     ExactMatrix,
-    build_adjunction_witness,
     build_truncated,
     check_triangles_T_Omega,
     check_triangles_Tbar_P,
@@ -135,12 +133,12 @@ class TestZetaBlocks:
 
     def test_exterior_degree_two_vanishes(self):
         B = exterior_line(RATIONALS)
-        z = build_adjunction_witness(B, 3).zeta_blocks
+        z = AdjunctionWitness(B, 3).zeta_blocks
         assert z[2].is_zero()
 
     def test_multiplicative_across_degrees(self):
         B = exterior_line(F5)
-        z = build_adjunction_witness(B, 4).zeta_blocks
+        z = AdjunctionWitness(B, 4).zeta_blocks
         for a in range(5):
             for b in range(5 - a):
                 assert B.m * z[a].kron(z[b]) == z[a + b]
@@ -148,35 +146,37 @@ class TestZetaBlocks:
 
 class TestZetaCoalgebra:
     def test_exterior_line(self):
-        assert check_zeta_coalgebra(build_adjunction_witness(exterior_line(RATIONALS), 3)).passed
+        assert check_zeta_coalgebra(AdjunctionWitness(exterior_line(RATIONALS), 3)).passed
 
     def test_group_algebra_trivially(self):
         # no primitives, so everything factors through degree zero
-        assert check_zeta_coalgebra(build_adjunction_witness(group_algebra_z2(RATIONALS), 3)).passed
+        assert check_zeta_coalgebra(AdjunctionWitness(group_algebra_z2(RATIONALS), 3)).passed
 
     def test_exterior_line_mod5(self):
-        assert check_zeta_coalgebra(build_adjunction_witness(exterior_line(F5), 4)).passed
+        assert check_zeta_coalgebra(AdjunctionWitness(exterior_line(F5), 4)).passed
 
     def test_corrupted_coproduct_detected(self):
         B = exterior_line(RATIONALS)
         grid = [list(r) for r in B.delta.data]
-        grid[0][1] = RATIONALS.element(1)  # make x no longer primitive-compatible
+        grid[3][0] = RATIONALS.element(1)  # Δ(1) = 1⊗1 + x⊗x, while x stays primitive
         wrong = BialgebraData(B.m, B.u, ExactMatrix(RATIONALS, grid),
                               B.eps, B.c)
         # the blocks of the correct bialgebra, checked against the wrong coproduct
-        rep = check_zeta_coalgebra(replace(build_adjunction_witness(B, 2), bialgebra=wrong))
-        assert not rep.passed
+        w = AdjunctionWitness(wrong, 2)
+        assert w.zeta_blocks == AdjunctionWitness(B, 2).zeta_blocks
+        rep = check_zeta_coalgebra(w)
+        assert [item.name for item in rep.failures()] == ["comultiplicative[0]"]
 
 
 class TestTensorPrimitiveTriangles:
     def test_exterior_line(self):
-        assert check_triangles_Tbar_P(build_adjunction_witness(exterior_line(RATIONALS), 3))
+        assert check_triangles_Tbar_P(AdjunctionWitness(exterior_line(RATIONALS), 3))
 
     def test_group_algebra_vacuous_first_triangle(self):
-        assert check_triangles_Tbar_P(build_adjunction_witness(group_algebra_z2(RATIONALS), 3))
+        assert check_triangles_Tbar_P(AdjunctionWitness(group_algebra_z2(RATIONALS), 3))
 
     def test_exterior_line_mod5(self):
-        assert check_triangles_Tbar_P(build_adjunction_witness(exterior_line(F5), 4))
+        assert check_triangles_Tbar_P(AdjunctionWitness(exterior_line(F5), 4))
 
     @pytest.mark.parametrize("field", [RATIONALS, F5], ids=["Q", "F5"])
     @pytest.mark.parametrize("N", [2, 3, 4])
@@ -186,7 +186,7 @@ class TestTensorPrimitiveTriangles:
         B = exterior_line(field)
         m = ExactMatrix(field, [[1, 0, 0, 1], [0, 1, 1, 0]])
         wrong = BialgebraData(m, B.u, B.delta, B.eps, B.c)
-        w = build_adjunction_witness(wrong, N)
+        w = AdjunctionWitness(wrong, N)
         assert check_triangles_Tbar_P(w) is False
         failed = [i.name for i in check_zeta_coalgebra(w).failures()]
         assert failed[:2] == ["comultiplicative[2]", "counital[2]"]
@@ -195,7 +195,7 @@ class TestTensorPrimitiveTriangles:
 class TestWitness:
     def test_assembly(self):
         B = exterior_line(RATIONALS)
-        w = build_adjunction_witness(B, 3)
+        w = AdjunctionWitness(B, 3)
         space = primitives(B)
         assert w.bialgebra is B
         assert w.space == space
@@ -203,6 +203,22 @@ class TestWitness:
         assert len(w.zeta_blocks) == 4
         assert w.zeta_blocks[0] == B.u
         assert w.zeta_blocks[1] == space.inclusion
+
+    def test_one_input_gives_one_witness(self):
+        B = exterior_line(F5)
+        assert AdjunctionWitness(B, 3) == AdjunctionWitness(exterior_line(F5), 3)
+        assert AdjunctionWitness(B, 3) != AdjunctionWitness(B, 4)
+        assert AdjunctionWitness(B, 3) != AdjunctionWitness(group_algebra_z2(F5), 3)
+
+    @pytest.mark.parametrize("field", [RATIONALS, F5], ids=["Q", "F5"])
+    @pytest.mark.parametrize("make", [exterior_line, group_algebra_z2], ids=["exterior", "z2"])
+    @pytest.mark.parametrize("N", [2, 3, 4, 5, 6])
+    def test_zeta_blocks_are_the_counit_extension(self, field, make, N):
+        B = make(field)
+        w = AdjunctionWitness(B, N)
+        space = primitives(B, check=False)
+        assert w.zeta_blocks == primitive_counit_blocks(iterated_products(B, N), space.inclusion)
+        assert w.space == space and w.tensor == build_truncated(space.braided_object(), N)
 
     def test_free_functor_blocks_commute_with_braiding(self):
         # degree-n block of the induced algebra map is the n-th tensor power

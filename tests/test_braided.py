@@ -6,9 +6,11 @@ from braidalg import (
     RATIONALS,
     AlgebraData,
     BialgebraData,
+    BraidedAlgebra,
     BraidedObject,
     BraidRepCache,
     ExactMatrix,
+    FieldMismatch,
     ProductAlgebraSpec,
     ShapeError,
     SpecViolation,
@@ -210,6 +212,38 @@ class TestBraidedBialgebra:
         assert lhs == ident.kron(B.delta) * c_inv
         assert B.u.kron(ident) == c_inv * ident.kron(B.u)
         assert ident.kron(B.u) == c_inv * B.u.kron(ident)
+
+
+class TestConstructionChecks:
+    """Each map of an algebra, a braided algebra or a bialgebra is checked
+    against ``m`` when the structure is made."""
+
+    def test_maps_over_another_field_are_refused(self):
+        Q, P = exterior_line(RATIONALS), exterior_line(F5)
+        with pytest.raises(FieldMismatch, match=r"^delta is over F_5, m over Q$"):
+            BialgebraData(Q.m, Q.u, P.delta, P.eps, P.c)
+        with pytest.raises(FieldMismatch, match=r"^u is over Q, m over F_5$"):
+            AlgebraData(P.m, Q.u)
+
+    @pytest.mark.parametrize("name", ["m", "u", "delta", "eps", "c"])
+    def test_a_map_of_the_wrong_shape_is_named(self, name):
+        B = exterior_line(RATIONALS)
+        maps = {key: getattr(B, key) for key in ("m", "u", "delta", "eps", "c")}
+        good = maps[name]
+        maps[name] = ExactMatrix.zeros(RATIONALS, good.rows, good.cols + 1)
+        with pytest.raises(ShapeError, match=rf"^{name} must be {good.rows}x{good.cols} on dimension 2, "
+                                             rf"got {good.rows}x{good.cols + 1}$"):
+            BialgebraData(**maps)
+
+    def test_braided_algebra_refuses_a_braiding_of_another_dimension(self):
+        B = exterior_line(RATIONALS)
+        with pytest.raises(ShapeError, match=r"^c must be 4x4 on dimension 2, got 9x9$"):
+            BraidedAlgebra(B.m, B.u, flip_braiding(RATIONALS, 3).c)
+
+    def test_well_made_structures_pass(self):
+        B = exterior_line(F5)
+        assert BraidedAlgebra(B.m, B.u, B.c).c == B.c
+        assert BialgebraData(B.m, B.u, B.delta, B.eps, B.c) == B
 
 
 def trivial_algebra(field):

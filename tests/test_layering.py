@@ -37,7 +37,10 @@ A structure is its maps: the field and the dimension of a braided object,
 an algebra or a bialgebra are read off its matrices, so that no label can
 disagree with them.  A seventh guard rejects any dataclass that takes a
 ``field`` or a ``dim`` as an ``__init__`` argument; a derived one is an
-``init=False`` field or a property.
+``init=False`` field or a property.  The same holds for the structures
+derived from others: the tensor bialgebra takes ``(V, N)``, the adjunction
+witness ``(bialgebra, N)`` and the primitive space ``(bialgebra,)``, and
+whatever they compute from those is an ``init=False`` field.
 """
 
 import ast
@@ -226,21 +229,30 @@ def test_guard_sees_the_recursion_read():
     assert names_reached(source, "clean") & RECURSION == set()
 
 
-def derived_init_arguments(source: str) -> list[str]:
-    """``Class.name`` for each field named ``field`` or ``dim`` of a dataclass
-    in ``source`` that ``__init__`` takes, one not declared ``init=False``."""
-    out = []
+def init_arguments(source: str) -> dict[str, tuple[str, ...]]:
+    """For each dataclass in ``source``, the fields it declares that
+    ``__init__`` takes, in order: those not declared ``init=False``."""
+    out = {}
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.ClassDef) or not any(
                 ast.unparse(d.func if isinstance(d, ast.Call) else d).endswith("dataclass")
                 for d in node.decorator_list):
             continue
+        names = []
         for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and getattr(stmt.target, "id", None) in ("field", "dim"):
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
                 keywords = stmt.value.keywords if isinstance(stmt.value, ast.Call) else []
                 if not any(k.arg == "init" and getattr(k.value, "value", True) is False for k in keywords):
-                    out.append(f"{node.name}.{stmt.target.id}")
+                    names.append(stmt.target.id)
+        out[node.name] = tuple(names)
     return out
+
+
+def derived_init_arguments(source: str) -> list[str]:
+    """``Class.name`` for each field named ``field`` or ``dim`` of a dataclass
+    in ``source`` that ``__init__`` takes, one not declared ``init=False``."""
+    return [f"{cls}.{name}" for cls, names in init_arguments(source).items()
+            for name in names if name in ("field", "dim")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -255,3 +267,21 @@ def test_guard_sees_a_field_argument():
               "class C:\n    dim: int\n\n"
               "@dataclasses.dataclass\nclass D(B):\n    dim: int = dc_field(init=True, default=2)\n")
     assert derived_init_arguments(source) == ["A.field", "D.dim"]
+
+
+DERIVED_STRUCTURES = [("tensoralg.py", "TruncatedTensorBialgebra", ("V", "N")),
+                      ("adjunctions.py", "AdjunctionWitness", ("bialgebra", "N")),
+                      ("primitives.py", "PrimitiveSpace", ("bialgebra",))]
+
+
+@pytest.mark.parametrize(("module", "cls", "inputs"), DERIVED_STRUCTURES,
+                         ids=[cls for _, cls, _ in DERIVED_STRUCTURES])
+def test_derived_structure_takes_only_its_inputs(module, cls, inputs):
+    assert init_arguments((PACKAGE / module).read_text(encoding="utf-8"))[cls] == inputs
+
+
+def test_guard_sees_a_derived_argument():
+    source = ("@dataclass\nclass T:\n    V: object\n    N: int\n    braid: object\n"
+              "    memo: dict = dc_field(init=False, compare=False)\n\n"
+              "class K:\n    x: int\n")
+    assert init_arguments(source) == {"T": ("V", "N", "braid")}

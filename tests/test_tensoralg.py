@@ -1,3 +1,4 @@
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from braidalg import (
     RATIONALS,
     BadDegree,
     ExactMatrix,
+    TruncatedTensorBialgebra,
     build_truncated,
     check_truncated_axioms,
     prime_field,
@@ -148,6 +150,28 @@ class TestStructure:
         with pytest.raises(BadDegree, match=r"^truncation degree must be >= 1, got 0$"):
             build_truncated(flip_braiding(RATIONALS, 2), 0)
 
+    def test_class_refuses_degree_zero(self):
+        with pytest.raises(BadDegree, match=r"^truncation degree must be >= 1, got 0$"):
+            TruncatedTensorBialgebra(flip_braiding(RATIONALS, 2), 0)
+
+    def test_blocks_come_from_its_own_braiding(self):
+        # no exchange-block cache of another braiding can be supplied
+        T = TruncatedTensorBialgebra(flip_braiding(RATIONALS, 2), 3)
+        assert T.braid.source is T.V
+        assert list(T.coproduct_blocks) == [(0, 0)]
+        assert tensor_primitive_dims(T) == [2, 1, 2]
+        with pytest.raises(FrozenInstanceError):  # nor can V or N change under built blocks
+            T.V = super_braiding(RATIONALS, (0, 1))
+
+    def test_one_input_gives_one_bialgebra(self):
+        V = super_braiding(RATIONALS, (0, 1))
+        built = build_truncated(V, 3)
+        list(built.named_blocks())  # blocks built on demand are not part of the value
+        assert TruncatedTensorBialgebra(V, 3) == built
+        assert build_truncated(super_braiding(RATIONALS, (0, 1)), 3) == built
+        assert build_truncated(V, 4) != built
+        assert build_truncated(flip_braiding(RATIONALS, 2), 3) != built
+
     def test_degree_gate(self):
         T = build_truncated(flip_braiding(RATIONALS, 2), 2)
         with pytest.raises(BadDegree):
@@ -263,13 +287,11 @@ class TestAxiomSuite:
         assert check_truncated_axioms(T).passed
 
     def test_injected_fault_is_detected(self):
-        T = build_truncated(flip_braiding(RATIONALS, 2), 3)
-        list(T.named_blocks())  # blocks are built on demand: build every block first
-        blocks = dict(T.coproduct_blocks)
-        grid = [list(r) for r in blocks[(1, 2)].data]
+        corrupt = build_truncated(flip_braiding(RATIONALS, 2), 3)
+        list(corrupt.named_blocks())  # blocks are built on demand: build every block first
+        grid = [list(r) for r in corrupt.coproduct_blocks[(1, 2)].data]
         grid[0][0] = RATIONALS.element(1)  # corrupt a single block entry
-        blocks[(1, 2)] = ExactMatrix(RATIONALS, grid)
-        corrupt = type(T)(T.V, T.N, T.braid, blocks)
+        corrupt.coproduct_blocks[(1, 2)] = ExactMatrix(RATIONALS, grid)
         rep = check_truncated_axioms(corrupt)
         assert not rep.passed
         failing = {item.name.split("[")[0] for item in rep.failures()}
